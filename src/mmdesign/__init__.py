@@ -19,7 +19,7 @@ from .criteria import (LocalOptTable, ParamGrid, angles_to_theta,
                        theta_to_angles, theta0_grid, zero_theta)
 from .errors import (ConfigurationError, GenerationError, InputParseError,
                      MmdesignError, NumericalError, SamplingError,
-                     TableLookupError)
+                     TableFormatError, TableLookupError)
 from .glsmodel import (DriftSpec, Evaluator, NoiseSpec, drift_matrix,
                        e_matrix, evaluator_for, info_matrix, l_matrix, phi_a,
                        phi_from_info, projection, two_run_phi_a,
@@ -40,7 +40,7 @@ __all__ = [
     "relative_efficiency", "rg_ratios", "theta_to_angles", "theta0_grid",
     "zero_theta",
     "ConfigurationError", "GenerationError", "InputParseError", "MmdesignError",
-    "NumericalError", "SamplingError", "TableLookupError",
+    "NumericalError", "SamplingError", "TableFormatError", "TableLookupError",
     "DriftSpec", "Evaluator", "NoiseSpec", "drift_matrix", "e_matrix",
     "evaluator_for", "info_matrix", "l_matrix", "phi_a", "phi_from_info",
     "projection", "two_run_phi_a", "whitening_matrix",

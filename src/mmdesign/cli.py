@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -33,7 +34,7 @@ from .designs import (DEFAULT_PRIMITIVE_POLYS, Design, block_design,
                       find_primitive_poly, load_design, m_sequence,
                       m_sequence_design, random_design, save_design)
 from .errors import (ConfigurationError, InputParseError, MmdesignError,
-                     TableLookupError)
+                     TableFormatError, TableLookupError)
 from .glsmodel import DriftSpec, NoiseSpec, get_evaluator
 from .search import (GaConfig, SearchResult, ga_search, maximin_objective,
                      mme_objective, build_local_opt_table)
@@ -66,6 +67,13 @@ class ExperimentConfig:
     table: str | None = None
     out: str = "mmdesign-out"
     ga: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("isi", "tr"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0):
+                raise ConfigurationError(f"{name} must be a finite positive number (got {v!r})")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -246,7 +254,7 @@ def _load_table(path: str, cfg: ExperimentConfig) -> LocalOptTable:
     except OSError as e:
         raise TableLookupError(f"cannot read table {path}: {e}") from e
     except json.JSONDecodeError as e:
-        raise TableLookupError(f"table {path} is not valid JSON: {e}") from e
+        raise TableFormatError(f"table {path} is not valid JSON: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .designs import Design, design_from_text
-from .errors import ConfigurationError, TableLookupError
+from .errors import ConfigurationError, MmdesignError, TableFormatError, TableLookupError
 from .glsmodel import DriftSpec, NoiseSpec, evaluator_for
 from .hrf import HrfParams
 
@@ -409,14 +409,43 @@ class LocalOptTable:
         with open(path, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
         if not isinstance(rows, list):
-            raise TableLookupError(f"{path}: expected a JSON list of table entries")
+            raise TableFormatError(f"{path}: expected a JSON list of table entries")
         table = cls(q_types=q_types, isi=isi)
-        for row in rows:
-            p = HrfParams(p1=float(row["p"][0]), p6=float(row["p"][1]))
-            d = design_from_text(row["design"] + "\n", q_types=q_types, isi=isi)
-            table.put(tuple(float(x) for x in row["theta"]), p,
-                      float(row["phi_a"]), d)
+        for i, row in enumerate(rows):
+            problem = _row_problem(row, q_types)
+            if problem:
+                raise TableFormatError(f"{path}: row {i}: {problem}")
+            try:
+                p = HrfParams(p1=float(row["p"][0]), p6=float(row["p"][1]))
+                d = design_from_text(row["design"] + "\n", q_types=q_types, isi=isi)
+                table.put(tuple(float(x) for x in row["theta"]), p,
+                          float(row["phi_a"]), d)
+            except MmdesignError as exc:
+                raise TableFormatError(f"{path}: row {i}: {exc}") from exc
         return table
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _row_problem(row, q_types: int) -> str | None:
+    """What is wrong with the keys and types of one saved table row, if anything."""
+    if not isinstance(row, dict):
+        return "expected an object with keys theta, p, phi_a, design"
+    missing = [k for k in ("theta", "p", "phi_a", "design") if k not in row]
+    if missing:
+        return f"missing key {missing[0]!r}"
+    theta, p = row["theta"], row["p"]
+    if not (isinstance(theta, list) and len(theta) == q_types and all(map(_is_number, theta))):
+        return f"'theta' must be a list of {q_types} finite numbers"
+    if not (isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))):
+        return "'p' must be a list of 2 finite numbers"
+    if not _is_number(row["phi_a"]):
+        return "'phi_a' must be a finite number"
+    if not isinstance(row["design"], str):
+        return "'design' must be a string of labels"
+    return None
 
 
 def relative_efficiency(d: Design, theta, p: HrfParams, table: LocalOptTable,

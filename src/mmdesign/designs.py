@@ -34,8 +34,8 @@ class Design:
             raise ConfigurationError(f"q_types must be >= 1 (got {self.q_types})")
         if len(labels) < 1:
             raise ConfigurationError("design must have at least one slot")
-        if self.isi <= 0:
-            raise ConfigurationError(f"isi must be positive (got {self.isi})")
+        if not (self.isi > 0 and math.isfinite(self.isi)):
+            raise ConfigurationError(f"isi must be finite and positive (got {self.isi})")
         bad = [x for x in labels if x < 0 or x > self.q_types]
         if bad:
             raise ConfigurationError(
@@ -123,8 +123,8 @@ def delta_t(isi: float, tr: float) -> float:
 
     Both must be (near-)rational with a common measure; tolerance 1e-9.
     """
-    if isi <= 0 or tr <= 0:
-        raise ConfigurationError(f"isi and tr must be positive (got {isi}, {tr})")
+    if not (isi > 0 and tr > 0 and math.isfinite(isi) and math.isfinite(tr)):
+        raise ConfigurationError(f"isi and tr must be finite and positive (got {isi}, {tr})")
     fi = Fraction(isi).limit_denominator(10 ** 6)
     ft = Fraction(tr).limit_denominator(10 ** 6)
     if abs(float(fi) - isi) > 1e-9 or abs(float(ft) - tr) > 1e-9:

@@ -36,6 +36,12 @@ class InputParseError(MmdesignError):
     exit_code = 3
 
 
+class TableFormatError(TableLookupError, InputParseError):
+    """A local-optimum table file that is not a list of well-formed rows."""
+
+    exit_code = 3
+
+
 class NumericalError(MmdesignError):
     """Numerical failure (singular systems where invertibility is required,
     failed normalization, exhausted sampling budget)."""

@@ -12,14 +12,19 @@ the two free HRF parameters as a nuisance direction that gets projected out:
 with w{A} = A (A'A)^- A'.  The A-criterion value is 1/trace(M^{-1}), zero
 when M is singular or near-singular.
 
-The evaluator caches the residualizing operator per configuration and reduces
-each design to a Gram matrix of its residualized columns, after which every
-(theta, p) grid point costs only small dense algebra.
+The evaluator reduces each design to a Gram matrix Y of its residualized
+columns.  Residualizing never forms an n x n operator: V is lower-bidiagonal,
+so V X is one shifted subtraction per run, and the drift projector is the
+identity minus Qs Qs' for a thin orthonormal basis Qs of V S.  Everything
+after the Gram matrix is Q x Q algebra: one matrix product of Y with the
+stacked HRF bundles of all p points, one batched product over p, and
+closed-form 2 x 2 pseudo-inverses for the nuisance block.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +36,7 @@ from .hrf import HrfParams, default_hrf_length, hrf_bundle
 
 RCOND_SINGULAR = 1e-12  # below this reciprocal condition number, phi_a = 0
 DEFAULT_RUN_SHIFT = 1.25
+STACK_CACHE_SIZE = 8  # distinct p-point tuples whose stacked bundles an evaluator keeps
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,11 @@ class Evaluator:
     """Criterion evaluation for designs of one fixed configuration.
 
     Configuration = (types, slots, ISI, TR, noise, drift, run shift).  The
-    whitened drift-residualizing operator is built once; each design then
-    yields a Gram matrix from which information matrices at any (theta, p)
-    follow by small quadratic forms.
+    constructor keeps only the AR(1) coefficient and a thin orthonormal basis
+    of the whitened drift columns; each design then yields a Gram matrix from
+    which information matrices at any (theta, p) follow by small quadratic
+    forms.  The stacked HRF bundles of the last few p-point tuples are kept,
+    so repeated grid scorings look up no bundles.
     """
 
     def __init__(self, q_types: int, n_slots: int, isi: float, tr: float,
@@ -159,15 +167,34 @@ class Evaluator:
             raise ConfigurationError(
                 f"L*isi must be a whole number of scans (L={n_slots}, isi={isi}, tr={tr})")
         self.scans_per_run = (n_slots * risi) // rtr
-        v = whitening_matrix(self.scans_per_run, noise.rho)
         s = drift_matrix(self.scans_per_run, drift.order)
         if noise.runs == 2:
-            v = _block_diag(v, v)
             s = _block_diag(s, s)
-        self.n_scans = v.shape[0]
-        resid = np.eye(self.n_scans) - projection(v @ s)
-        self.residualizer = resid @ v
+        self.n_scans = s.shape[0]
+        # V S has full column rank (V is nonsingular), so QR gives its range
+        self.drift_basis = np.linalg.qr(self._whiten(s))[0]
         self.width = noise.runs * self.hrf_length  # columns per type block
+        self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._recent_stack: tuple = (None, None)
+        self._stacks_lock = threading.Lock()  # worker threads share an evaluator
+
+    # -- drift removal -----------------------------------------------------
+
+    def _whiten(self, a: np.ndarray) -> np.ndarray:
+        """V a for the block-diagonal AR(1) whitener: within each run, the
+        first row is scaled by sqrt(1 - rho^2) and every later row has rho
+        times its predecessor subtracted."""
+        rho = self.noise.rho
+        runs = a.reshape(self.noise.runs, self.scans_per_run, -1)
+        out = np.empty_like(runs)
+        out[:, 0] = math.sqrt(1.0 - rho * rho) * runs[:, 0]
+        np.subtract(runs[:, 1:], rho * runs[:, :-1], out=out[:, 1:])
+        return out.reshape(a.shape)
+
+    def _residualize(self, a: np.ndarray) -> np.ndarray:
+        """(I - w{VS}) V a for the columns of `a`."""
+        va = self._whiten(a)
+        return va - self.drift_basis @ (self.drift_basis.T @ va)
 
     # -- per-design pieces ------------------------------------------------
 
@@ -186,9 +213,8 @@ class Evaluator:
         return [_block_diag(x, x) for x in dm.blocks]
 
     def residualized(self, d: Design) -> np.ndarray:
-        """Residualizing operator applied to all design columns (n_scans x Q*width)."""
-        x = np.hstack(self.type_blocks(d))
-        return self.residualizer @ x
+        """Whitened, drift-residualized design columns (n_scans x Q*width)."""
+        return self._residualize(np.hstack(self.type_blocks(d)))
 
     def gram(self, d: Design) -> np.ndarray:
         u = self.residualized(d)
@@ -204,8 +230,7 @@ class Evaluator:
     def e_matrix(self, d: Design, p: HrfParams) -> np.ndarray:
         blocks = self.type_blocks(d)
         h = self.bundle(p)[:, 0]
-        cols = [self.residualizer @ (x @ h) for x in blocks]
-        return np.column_stack(cols)
+        return self._residualize(np.column_stack([x @ h for x in blocks]))
 
     def l_matrix(self, d: Design, theta, p: HrfParams) -> np.ndarray:
         blocks = self.type_blocks(d)
@@ -220,8 +245,8 @@ class Evaluator:
             for q, x in enumerate(blocks):
                 if th[q] != 0.0:
                     acc = acc + th[q] * (x @ w[:, j])
-            cols.append(self.residualizer @ acc)
-        return np.column_stack(cols)
+            cols.append(acc)
+        return self._residualize(np.column_stack(cols))
 
     def info_matrix(self, d: Design, theta, p: HrfParams) -> np.ndarray:
         phi, m = self._phi_from_gram(self.gram(d), [tuple(np.asarray(theta, dtype=float))], [p],
@@ -237,13 +262,34 @@ class Evaluator:
     def phi_a_grid(self, d: Design, thetas, ps) -> np.ndarray:
         """A-criterion values over a product grid: result[i, j] is the value
         at thetas[i], ps[j]."""
-        out, _ = self._phi_from_gram(self.gram(d), list(thetas), list(ps))
+        out, _ = self._phi_from_gram(self.gram(d), thetas, ps)
         return out
 
-    def _phi_from_gram(self, y: np.ndarray, thetas: list, ps: list,
-                       want_matrices: bool = False):
-        q = self.q_types
-        th = np.asarray(thetas, dtype=float)
+    def _stacked_bundles(self, ps) -> tuple[np.ndarray, np.ndarray]:
+        """Bundles of the p points in the tuple `ps`, stacked two ways:
+        (width, n_p*3) for the product with the Gram matrix and
+        (n_p, 3, width) for the batched product over p.  Kept per distinct
+        tuple; a search passes the same tuple object on every call, which is
+        found without hashing its n_p points."""
+        recent_ps, recent = self._recent_stack
+        if recent_ps is ps:
+            return recent
+        stacked = self._stacks.get(ps)
+        if stacked is None:
+            w_all = np.stack([self.bundle(p) for p in ps])        # (n_p, width, 3)
+            flat = np.ascontiguousarray(w_all.transpose(1, 0, 2)).reshape(self.width, -1)
+            stacked = (flat, np.ascontiguousarray(w_all.transpose(0, 2, 1)))
+            with self._stacks_lock:
+                if len(self._stacks) >= STACK_CACHE_SIZE:
+                    del self._stacks[next(iter(self._stacks))]
+                self._stacks[ps] = stacked
+        self._recent_stack = (ps, stacked)
+        return stacked
+
+    def _phi_from_gram(self, y: np.ndarray, thetas, ps, want_matrices: bool = False):
+        q, w = self.q_types, self.width
+        ps = ps if isinstance(ps, tuple) else tuple(ps)
+        th = np.asarray(list(thetas), dtype=float)
         if th.size == 0:
             th = th.reshape(0, q)
         if th.ndim != 2 or th.shape[1] != q:
@@ -252,50 +298,44 @@ class Evaluator:
         if n_t == 0 or n_p == 0:
             empty = np.empty((n_t, n_p))
             return empty, (np.empty((n_t, n_p, q, q)) if want_matrices else None)
-        w_all = np.stack([self.bundle(p) for p in ps])  # (n_p, width, 3)
-        y4 = y.reshape(q, self.width, q, self.width)
-        # g[p, qa, qb, i, j] = w_i' Y[qa, qb] w_j over bundle columns i, j
-        g = np.einsum("pui,aubv,pvj->pabij", w_all, y4, w_all, optimize=True)
-        a00 = g[..., 0, 0]
+        flat, w_t = self._stacked_bundles(ps)
+        # z[a, u, b, p, j] = sum_v Y[a, u, b, v] W_p[v, j]: one GEMM for all p
+        z = (y.reshape(q * w * q, w) @ flat).reshape(q, w, q, n_p, 3)
+        z = z.transpose(3, 1, 0, 2, 4).reshape(n_p, w, q * q * 3)
+        # g[p, i, a, b, j] = W_p[:, i]' Y[a, b] W_p[:, j]
+        g = np.matmul(w_t, z).reshape(n_p, 3, q, q, 3)
+        a00 = g[:, 0, :, :, 0]
         a00 = 0.5 * (a00 + np.transpose(a00, (0, 2, 1)))
-        # E'L columns and L'L entries for the whole theta x p batch at once
-        el = np.stack([np.einsum("tb,pab->tpa", th, g[..., 0, 1]),
-                       np.einsum("tb,pab->tpa", th, g[..., 0, 2])], axis=3)
-        l11 = np.einsum("ta,pab,tb->tp", th, g[..., 1, 1], th)
-        l16 = np.einsum("ta,pab,tb->tp", th, g[..., 1, 2], th)
-        l66 = np.einsum("ta,pab,tb->tp", th, g[..., 2, 2], th)
-        inv = _pinv_sym2_batch(l11, l16, l66)           # (n_t, n_p, 2, 2)
-        corr = np.einsum("tpai,tpij,tpbj->tpab", el, inv, el)
+        # E'L columns (t, p, a) and L'L entries (t, p) for the whole batch
+        e1 = np.matmul(g[:, 0, :, :, 1], th.T).transpose(2, 0, 1)
+        e2 = np.matmul(g[:, 0, :, :, 2], th.T).transpose(2, 0, 1)
+        tt = (th[:, :, None] * th[:, None, :]).reshape(n_t, q * q)
+        l11, l16, l66 = (tt @ g[:, i, :, :, j].reshape(n_p, q * q).T
+                         for i, j in ((1, 1), (1, 2), (2, 2)))
+        i00, i01, i11 = _pinv_sym2_batch(l11, l16, l66)
+        # corr[a, b] = sum_ij el[a, i] inv[i, j] el[b, j], inv = [[i00, i01], [i01, i11]]
+        f1 = (i00[..., None] * e1 + i01[..., None] * e2)[..., None, :]
+        f2 = (i01[..., None] * e1 + i11[..., None] * e2)[..., None, :]
+        corr = e1[..., :, None] * f1 + e2[..., :, None] * f2
         m = a00[None, :, :, :] - corr
         m = 0.5 * (m + np.transpose(m, (0, 1, 3, 2)))
         out = _phi_batch(m)
         return out, (m if want_matrices else None)
 
 
-def _pinv_sym2_batch(a, b, c) -> np.ndarray:
-    """Moore-Penrose inverse of symmetric PSD 2x2 [[a, b], [b, c]] batches;
-    a, b, c may have any common shape."""
-    a = np.asarray(a, dtype=float)
+def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (i00, i01, i11) of the Moore-Penrose inverse of symmetric PSD
+    2x2 [[a, b], [b, c]] batches; a, b, c may have any common shape."""
     t = a + c
     s = np.sqrt((a - c) ** 2 + 4.0 * b * b)
     lmax = 0.5 * (t + s)
     lmin = 0.5 * (t - s)
-    det = a * c - b * b
-    out = np.zeros(a.shape + (2, 2))
     full = lmin > 1e-13 * lmax
-    if np.any(full):
-        d = det[full]
-        out[full, 0, 0] = c[full] / d
-        out[full, 1, 1] = a[full] / d
-        out[full, 0, 1] = out[full, 1, 0] = -b[full] / d
-    # rank-one fallback: M/lmax^2 approximates the truncated inverse
+    # rank-one fallback: M/lmax^2 approximates the truncated inverse; an
+    # all-zero block divides by infinity and gets a zero inverse
     rank1 = (~full) & (lmax > 0)
-    if np.any(rank1):
-        sc = lmax[rank1] ** 2
-        out[rank1, 0, 0] = a[rank1] / sc
-        out[rank1, 1, 1] = c[rank1] / sc
-        out[rank1, 0, 1] = out[rank1, 1, 0] = b[rank1] / sc
-    return out
+    den = np.where(full, a * c - b * b, np.where(rank1, lmax ** 2, np.inf))
+    return np.where(full, c, a) / den, np.where(full, -b, b) / den, np.where(full, a, c) / den
 
 
 def _phi_batch(m: np.ndarray) -> np.ndarray:

@@ -106,14 +106,13 @@ def _g_raw_floats(t, p1, p6, p2, p3, p4, p5):
 
 
 @lru_cache(maxsize=4096)
-def _norm_info(p1: float, p2: float, p3: float, p4: float, p5: float) -> tuple[float, float]:
-    """(normalizing max, refined peak time) of the p6 = 0 curve.
+def _norm_info(p1: float, p2: float, p3: float, p4: float, p5: float) -> tuple[float, int]:
+    """(normalizing max, its index on the canonical scan) of the p6 = 0 curve.
 
     The max over s of the curve does not depend on p6 (pure time shift with
     the peak interior to the scan window), so the constant is computed once on
     the p6 = 0 axis; this also makes the shift identity exact.  The constant
-    itself is the exact maximum over the canonical 0.001 s grid; golden-section
-    refinement is applied only to sharpen the reported peak location.
+    itself is the exact maximum over the canonical 0.001 s grid.
     """
     grid = np.arange(int(round(HRF_WINDOW / NORM_SCAN_STEP)) + 1) * NORM_SCAN_STEP
     vals = _g_raw_floats(grid, p1, 0.0, p2, p3, p4, p5)
@@ -121,10 +120,7 @@ def _norm_info(p1: float, p2: float, p3: float, p4: float, p5: float) -> tuple[f
     c = float(vals[idx])
     if not c > 0.0:
         raise NumericalError(f"HRF normalization failed: nonpositive max for p1={p1}")
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, grid.shape[0] - 1)]
-    t_peak = _golden_argmax(lambda s: _g_raw_floats(s, p1, 0.0, p2, p3, p4, p5), lo, hi)
-    return c, t_peak
+    return c, idx
 
 
 def _golden_argmax(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -152,8 +148,16 @@ def normalizing_max(p: HrfParams) -> float:
 
 
 def peak_time(p: HrfParams) -> float:
-    """Time at which the normalized curve peaks (includes the p6 shift)."""
-    return _norm_info(p.p1, p.p2, p.p3, p.p4, p.p5)[1] + p.p6
+    """Time at which the normalized curve peaks (includes the p6 shift):
+    golden-section refinement between the canonical scan's neighbours of its
+    maximum.  Only this needs the refinement, so normalizing does not pay
+    for it."""
+    idx = _norm_info(p.p1, p.p2, p.p3, p.p4, p.p5)[1]
+    last = int(round(HRF_WINDOW / NORM_SCAN_STEP))
+    lo = max(idx - 1, 0) * NORM_SCAN_STEP
+    hi = min(idx + 1, last) * NORM_SCAN_STEP
+    t_peak = _golden_argmax(lambda s: _g_raw_floats(s, p.p1, 0.0, p.p2, p.p3, p.p4, p.p5), lo, hi)
+    return t_peak + p.p6
 
 
 def g_normalized(t, p: HrfParams):

@@ -3,8 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
+
+import mmdesign
 
 from mmdesign.cli import ExperimentConfig, main
 from mmdesign.criteria import LocalOptTable, make_grid
@@ -76,11 +80,11 @@ def test_resolve_threads(monkeypatch):
     monkeypatch.setenv("MMDESIGN_THREADS", "5")
     assert resolve_threads() == 5
     monkeypatch.setenv("MMDESIGN_THREADS", "zero")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         resolve_threads()
     monkeypatch.delenv("MMDESIGN_THREADS")
     assert resolve_threads() >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         resolve_threads(0)
 
 
@@ -262,6 +266,72 @@ def test_exit_code_bad_config(tmp_path, capsys):
     notjson = tmp_path / "broken.json"
     notjson.write_text("{", encoding="utf-8")
     assert main(["evaluate", design, "--config", str(notjson)]) == 2
+
+
+def run_cli(args, env_extra=None):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mmdesign.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("MMDESIGN_THREADS", None)
+    env.update(env_extra or {})
+    proc = subprocess.run([sys.executable, "-m", "mmdesign.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def assert_clean_exit(result, code):
+    rc, err = result
+    assert rc == code, err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_exit_code_zero_threads(tmp_path):
+    cfg = write_config(tmp_path)
+    design = write_design(tmp_path, [1, 0] * 6)
+    assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--threads", "0"]), 2)
+
+
+def test_exit_code_non_integer_threads_env(tmp_path):
+    cfg = write_config(tmp_path)
+    design = write_design(tmp_path, [1, 0] * 6)
+    assert_clean_exit(run_cli(["evaluate", design, "--config", cfg],
+                              env_extra={"MMDESIGN_THREADS": "abc"}), 2)
+
+
+def test_exit_code_nan_isi(tmp_path):
+    out = tmp_path / "r.txt"
+    assert_clean_exit(run_cli(["generate", "random", "--q", "1", "--length", "12",
+                               "--isi", "nan", "-o", str(out)]), 2)
+    assert not out.exists()
+    cfg = write_config(tmp_path)
+    design = write_design(tmp_path, [1, 0] * 6)
+    assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--isi", "nan"]), 2)
+
+
+def test_exit_code_infinite_tr(tmp_path):
+    cfg = write_config(tmp_path)
+    design = write_design(tmp_path, [1, 0] * 6)
+    assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--tr", "inf"]), 2)
+
+
+@pytest.mark.parametrize("fault", ["missing_key", "wrong_type"])
+def test_exit_code_malformed_table_row(tmp_path, fault):
+    cfg = write_config(tmp_path)
+    table = make_tiny_table(tmp_path, cfg)
+    rows = json.loads(open(table, encoding="utf-8").read())
+    if fault == "missing_key":
+        del rows[3]["p"]
+    else:
+        rows[3]["phi_a"] = "big"
+    with open(table, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh)
+    design = write_design(tmp_path, [1, 0] * 6)
+    result = run_cli(["evaluate", design, "--config", cfg, "--table", table])
+    assert_clean_exit(result, 3)
+    assert "row 3" in result[1]
 
 
 def test_unknown_flag_exits_via_argparse(tmp_path):

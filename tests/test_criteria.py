@@ -316,6 +316,33 @@ def test_table_load_rejects_non_list(tmp_path):
         LocalOptTable.load(path, q_types=1, isi=4.0)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("p", None, "missing key 'p'"),
+    ("theta", None, "missing key 'theta'"),
+    ("p", [6.0, "x"], "'p' must be"),
+    ("theta", [1.0, 0.0], "'theta' must be"),
+    ("phi_a", "big", "'phi_a' must be"),
+    ("phi_a", float("nan"), "'phi_a' must be"),
+    ("design", [1, 0], "'design' must be"),
+    ("phi_a", -1.0, "positive"),
+    ("p", [0.5, 0.0], "p1 must be"),
+])
+def test_table_load_rejects_malformed_rows(tmp_path, key, value, message):
+    table, _, _ = make_table()
+    path = tmp_path / "table.json"
+    table.save(path)
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    if value is None:
+        del rows[1][key]
+    else:
+        rows[1][key] = value
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    with pytest.raises(TableLookupError, match=message) as exc:
+        LocalOptTable.load(path, q_types=1, isi=4.0)
+    assert "row 1:" in str(exc.value)
+    assert exc.value.exit_code == 3
+
+
 # -- relative efficiency ------------------------------------------------------------
 
 def test_relative_efficiency_of_stored_design_is_one():

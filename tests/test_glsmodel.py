@@ -1,6 +1,8 @@
 """Whitening, drift, projections, information matrices, criterion values."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from mmdesign.criteria import apply_perm, label_permutations, perm_matrix
 from mmdesign.designs import Design, random_design, relabel
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import (
+    STACK_CACHE_SIZE,
     DriftSpec,
     Evaluator,
     NoiseSpec,
@@ -27,9 +30,11 @@ from mmdesign.glsmodel import (
 from mmdesign.hrf import HrfParams, g_normalized
 
 from reference import (
+    ref_design_blocks,
     ref_drift_raw,
     ref_model_matrices,
     ref_phi_a,
+    ref_phi_sweep,
     ref_proj,
     ref_whitening,
 )
@@ -314,6 +319,96 @@ def test_phi_a_grid_matches_pointwise_loop():
     for i, th in enumerate(thetas):
         for j, p in enumerate(ps):
             assert grid[i, j] == pytest.approx(ev.phi_a(d, th, p), rel=1e-12, abs=1e-15)
+
+
+# (q, runs) -> (slots, isi, tr, directions including zero, (p1, p6) points)
+SWEEP_CASES = {
+    (1, 1): (18, 4.0, 2.0, [(0.0,), (1.0,)], [(6.0, 0.0), (7.4, 1.1), (9.0, 2.0)]),
+    (1, 2): (12, 2.5, 2.5, [(0.0,), (1.0,)], [(6.0, 0.0), (8.1, 1.6)]),
+    (2, 1): (24, 4.0, 2.0, [(0.0, 0.0), (1.0, 0.0), (0.6, 0.8), (0.6, -0.8)],
+             [(6.0, 0.0), (7.3, 1.2), (9.0, 2.0)]),
+    (2, 2): (12, 2.5, 2.5, [(0.0, 0.0), (0.8, 0.6), (0.0, 1.0)], [(6.5, 0.4), (8.8, 1.9)]),
+    (3, 1): (24, 3.0, 2.0, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, -0.5, math.sqrt(0.5))],
+             [(6.2, 0.3), (8.5, 1.7)]),
+    (3, 2): (18, 2.5, 2.5, [(0.0, 0.0, 0.0), (0.6, 0.0, 0.8)], [(7.0, 1.25), (9.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("q, runs", sorted(SWEEP_CASES))
+def test_phi_a_grid_matches_dense_sweep(q, runs):
+    length, isi, tr, thetas, p_pairs = SWEEP_CASES[(q, runs)]
+    designs = [random_design(q, length, isi, seed=40 + k) for k in range(2)]
+    ev = make_eval(q=q, length=length, isi=isi, tr=tr, runs=runs)
+    ps = [HrfParams(p1, p6) for p1, p6 in p_pairs]
+    got = np.stack([ev.phi_a_grid(d, thetas, ps) for d in designs])
+    want = ref_phi_sweep([list(d.labels) for d in designs], q, isi, tr, 0.3, 2,
+                         thetas, p_pairs, runs=runs)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+    # the single-point path goes through the same grid stage
+    for j, th in enumerate(thetas):
+        assert ev.phi_a(designs[0], th, ps[-1]) == pytest.approx(
+            ref_phi_a(list(designs[0].labels), q, isi, tr, 0.3, 2, th, *p_pairs[-1],
+                      runs=runs), rel=1e-8)
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_residualized_equals_dense_operator(runs):
+    q, length, isi, tr = 2, 20, 2.5, 2.5
+    d = random_design(q, length, isi, seed=50 + runs)
+    ev = make_eval(q=q, length=length, isi=isi, tr=tr, runs=runs)
+    blocks = ref_design_blocks(list(d.labels), q, isi, tr, ev.hrf_length)
+    t_run = blocks[0].shape[0]
+    v = ref_whitening(t_run, 0.3)
+    s = ref_drift_raw(t_run, 2)
+    if runs == 2:
+        z = np.zeros_like(v)
+        v = np.block([[v, z], [z, v]])
+        s = np.block([[s, np.zeros_like(s)], [np.zeros_like(s), s]])
+        blocks = [np.block([[x, np.zeros_like(x)], [np.zeros_like(x), x]]) for x in blocks]
+    x = np.hstack(blocks)
+    want = (np.eye(v.shape[0]) - ref_proj(v @ s)) @ v @ x
+    got = ev.residualized(d)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+
+@given(q=st.integers(1, 3), seed=st.integers(0, 10 ** 6), runs=st.integers(1, 2),
+       p1=st.floats(6.0, 9.0), p6=st.floats(0.0, 2.0), zero=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_information_dominated_by_gram_of_e(q, seed, runs, p1, p6, zero):
+    rng = np.random.default_rng(seed)
+    ev = make_eval(q=q, length=12, isi=2.5, tr=2.5, runs=runs)
+    d = random_design(q, 12, 2.5, seed=seed)
+    theta = np.zeros(q) if zero else rng.normal(size=q)
+    p = HrfParams(p1, p6)
+    e = ev.e_matrix(d, p)
+    ete = e.T @ e
+    m = ev.info_matrix(d, theta, p)
+    gap = np.linalg.eigvalsh(ete - m)
+    assert gap[0] >= -1e-9 * np.linalg.norm(ete, 2)
+
+
+def test_stacked_bundles_shared_by_threads():
+    # more p-point tuples than the evaluator keeps, scored from more threads
+    # than cores: every result must come from the bundles of its own tuple
+    d = random_design(1, 9, 4.0, seed=60)
+    thetas = [(1.0,)]
+    grids = [(HrfParams(6.0 + 0.25 * k, 0.5),) for k in range(STACK_CACHE_SIZE + 4)]
+    want = [make_eval().phi_a_grid(d, thetas, ps) for ps in grids]
+    ev = make_eval()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ev.phi_a_grid, d, thetas, grids[k % len(grids)])
+                       for k in range(4000)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for k, values in enumerate(got):
+        np.testing.assert_allclose(values, want[k % len(grids)], rtol=1e-12, atol=0.0)
+    assert len(ev._stacks) <= STACK_CACHE_SIZE
 
 
 def test_phi_a_grid_empty_inputs():
