@@ -22,26 +22,42 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .criteria import (COMPARISON_P_STEP, LocalOptTable, MinResult, ParamGrid,
                        make_grid, min_phi_a, min_re, min_rg, p_grid,
-                       theta_to_angles)
-from .designs import (DEFAULT_PRIMITIVE_POLYS, Design, block_design,
-                      constrained_random, cyclic_design, extend_m_sequence,
-                      find_primitive_poly, load_design, m_sequence,
-                      m_sequence_design, random_design, save_design)
+                       theta_to_angles, worst_case)
+from .designs import (Design, block_design, constrained_random, cyclic_design,
+                      extend_m_sequence, load_design, m_sequence,
+                      m_sequence_design, m_sequence_params, random_design,
+                      save_design)
 from .errors import (ConfigurationError, InputParseError, MmdesignError,
-                     TableFormatError, TableLookupError)
+                     TableFormatError)
 from .glsmodel import DriftSpec, NoiseSpec, get_evaluator
 from .search import (GaConfig, SearchResult, ga_search, maximin_objective,
                      mme_objective, build_local_opt_table)
 from .util import fmt_float, mean_and_stderr, parallel_map, resolve_threads
 
 _GA_FIELDS = {"population_size", "max_evaluations", "max_generations",
-              "crossover_pairs", "mutation_rate", "immigrant_count", "elite_count"}
+              "crossover_pairs", "mutation_rate", "immigrant_count"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_type(key: str, value, annotation) -> None:
+    """Raise ConfigurationError unless `value` fits a field annotated int,
+    float or str, each optionally `| None`.  An int passes for a float; a
+    bool passes for neither."""
+    kinds = typing.get_args(annotation) or (annotation,)
+    if value is None and type(None) in kinds:
+        return
+    kind = kinds[0]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        nullable = " or null" if type(None) in kinds else ""
+        raise ConfigurationError(
+            f"config key {key!r} must be {_TYPE_NAMES[kind]}{nullable} (got {value!r})")
 
 
 @dataclass
@@ -87,12 +103,21 @@ class ExperimentConfig:
         bad = sorted(set(ga) - _GA_FIELDS)
         if bad:
             raise ConfigurationError(f"unknown ga config keys: {', '.join(bad)}")
+        ga_types = typing.get_type_hints(GaConfig)
+        for key, value in ga.items():
+            _check_type(f"ga.{key}", value, ga_types[key])
+        types = typing.get_type_hints(cls)
+        for key, value in data.items():
+            if key not in ("seeds", "ga"):
+                _check_type(key, value, types[key])
         kwargs = dict(data)
         if "seeds" in kwargs:
             seeds = kwargs["seeds"]
             if not isinstance(seeds, list) or not seeds:
                 raise ConfigurationError("config key 'seeds' must be a nonempty list")
-            kwargs["seeds"] = tuple(int(s) for s in seeds)
+            for seed in seeds:
+                _check_type("seeds", seed, int)
+            kwargs["seeds"] = tuple(seeds)
         return cls(**kwargs)
 
     @classmethod
@@ -119,23 +144,22 @@ class ExperimentConfig:
                              self.isi, self.tr, self.noise(), self.drift(),
                              run_shift=self.run_shift)
 
-    def make_grid(self, default_preset: str, include_zero: bool = False) -> ParamGrid:
-        preset = self.grid if self.grid is not None else default_preset
+    def make_grid(self, default_preset: str | None = None,
+                  include_zero: bool = False) -> ParamGrid:
+        """The `grid` preset, or `default_preset` when `grid` is unset; with no
+        default, the searches' final-report grid `report_grid`, which `grid`
+        does not override."""
+        if default_preset is None:
+            preset = self.report_grid
+        else:
+            preset = self.grid if self.grid is not None else default_preset
         return make_grid(self.q_types, preset=preset, region=self.region,
                          include_zero=include_zero, p_step=self.p_step,
                          phi_step=self.phi_step)
 
-    def report_param_grid(self, include_zero: bool = False) -> ParamGrid:
-        return make_grid(self.q_types, preset=self.report_grid, region=self.region,
-                         include_zero=include_zero, p_step=self.p_step,
-                         phi_step=self.phi_step)
-
-    def ga_config(self, seed: int, space: str | None = None,
-                  length: int | None = None) -> GaConfig:
-        return GaConfig(q_types=self.q_types,
-                        length=length if length is not None else self.length,
-                        isi=self.isi, space=space if space is not None else self.space,
-                        seed=seed, **self.ga)
+    def ga_config(self, seed: int) -> GaConfig:
+        return GaConfig(q_types=self.q_types, length=self.length, isi=self.isi,
+                        space=self.space, seed=seed, **self.ga)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -189,21 +213,30 @@ def write_csv(path: str, header: list[str], rows) -> None:
             w.writerow([fmt_float(x) if isinstance(x, float) else x for x in row])
 
 
-def write_run_meta(outdir: str, started: str, wall_s: float, cpu_s: float,
-                   threads: int, extra: dict | None = None) -> None:
-    meta = {
-        "argv": sys.argv,
-        "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "wall_time_s": wall_s,
-        "cpu_time_s": cpu_s,
-        "threads": threads,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-    }
-    if extra:
-        meta.update(extra)
-    write_json(os.path.join(outdir, "run_meta.json"), meta)
+class _RunClock:
+    """Worker count, start time and clocks of one command, taken once its
+    configuration is resolved; `finish` stops the clocks and writes them to
+    run_meta.json."""
+
+    def __init__(self, cfg: ExperimentConfig) -> None:
+        self.threads = resolve_threads(cfg.threads)
+        self.started = _now_iso()
+        self.t0, self.c0 = time.perf_counter(), time.process_time()
+
+    def finish(self, outdir: str, extra: dict | None = None) -> None:
+        wall_s, cpu_s = time.perf_counter() - self.t0, time.process_time() - self.c0
+        meta = {
+            "argv": sys.argv,
+            "started": self.started,
+            "finished": _now_iso(),
+            "wall_time_s": wall_s,
+            "cpu_time_s": cpu_s,
+            "threads": self.threads,
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            **(extra or {}),
+        }
+        write_json(os.path.join(outdir, "run_meta.json"), meta)
 
 
 def grid_header(q: int, with_re: bool) -> list[str]:
@@ -241,6 +274,11 @@ def _now_iso() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _best_index(values: list[float]) -> int:
+    """Index of the largest value, the first one on ties."""
+    return max(range(len(values)), key=lambda i: (values[i], -i))
+
+
 def _load_design_checked(path: str, cfg: ExperimentConfig) -> Design:
     try:
         return load_design(path, q_types=cfg.q_types, isi=cfg.isi)
@@ -252,7 +290,7 @@ def _load_table(path: str, cfg: ExperimentConfig) -> LocalOptTable:
     try:
         return LocalOptTable.load(path, q_types=cfg.q_types, isi=cfg.isi)
     except OSError as e:
-        raise TableLookupError(f"cannot read table {path}: {e}") from e
+        raise InputParseError(f"cannot read table {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise TableFormatError(f"table {path} is not valid JSON: {e}") from e
 
@@ -263,44 +301,28 @@ def _load_table(path: str, cfg: ExperimentConfig) -> LocalOptTable:
 
 def cmd_evaluate(args) -> int:
     cfg = config_from_args(args)
-    threads = resolve_threads(cfg.threads)
-    started, t0, c0 = _now_iso(), time.perf_counter(), time.process_time()
+    run = _RunClock(cfg)
     d = _load_design_checked(args.design, cfg)
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
-    ev = cfg.evaluator(len(d))
-    values = ev.phi_a_grid(d, grid.thetas, grid.ps)
-    re_values = None
+    values = cfg.evaluator(len(d)).phi_a_grid(d, grid.thetas, grid.ps)
+    re_values = values / table.denominators(grid) if table is not None else None
     summary = {
         "design_file": args.design,
         "q_types": d.q_types,
         "length": len(d),
         "isi": d.isi,
         "grid_points": grid.n_points,
-        "min_phi_a": min_result_dict(
-            min_phi_a(d, grid, cfg.tr, cfg.noise(), cfg.drift(), cfg.run_shift)),
+        "min_phi_a": min_result_dict(worst_case(values, grid)),
     }
-    if table is not None:
-        missing = table.missing(grid)
-        if missing:
-            th, p = missing[0]
-            raise TableLookupError(
-                f"table does not cover the evaluation grid ({len(missing)} points "
-                f"missing, first: theta={th}, p=({p.p1}, {p.p6}))")
-        denom = np.empty_like(values)
-        for i, th in enumerate(grid.thetas):
-            for j, p in enumerate(grid.ps):
-                denom[i, j] = table.value(th, p)
-        re_values = values / denom
-        summary["min_re"] = min_result_dict(
-            min_re(d, grid, table, cfg.tr, cfg.noise(), cfg.drift(), cfg.run_shift))
+    if re_values is not None:
+        summary["min_re"] = min_result_dict(worst_case(re_values, grid))
     outdir = _ensure_out(cfg)
     write_csv(os.path.join(outdir, "evaluation.csv"),
               grid_header(d.q_types, with_re=re_values is not None),
               grid_rows(grid, values, re_values))
     write_json(os.path.join(outdir, "evaluation.json"), summary)
-    write_run_meta(outdir, started, time.perf_counter() - t0,
-                   time.process_time() - c0, threads)
+    run.finish(outdir)
     print(f"min phi_a {fmt_float(summary['min_phi_a']['value'])} at "
           f"p=({fmt_float(summary['min_phi_a']['p1'])}, "
           f"{fmt_float(summary['min_phi_a']['p6'])})")
@@ -321,15 +343,7 @@ def cmd_generate(args) -> int:
     if args.kind == "block":
         d = block_design(q, args.block_size, length, isi)
     elif args.kind == "mseq":
-        fo = q + 1
-        degree = args.degree
-        if degree is None:
-            degree = 2
-            while fo ** degree - 1 < length:
-                degree += 1
-        poly = DEFAULT_PRIMITIVE_POLYS.get((fo, degree))
-        if poly is None:
-            poly = find_primitive_poly(fo, degree)
+        fo, degree, poly = m_sequence_params(q, length, args.degree)
         seq = m_sequence(fo, degree, primitive_poly=poly)
         d = extend_m_sequence(seq, length, isi, q_types=q)
         print(f"field GF({fo}), degree {degree}, recurrence coefficients "
@@ -363,118 +377,79 @@ def cmd_generate(args) -> int:
 # searches
 # ---------------------------------------------------------------------------
 
-def _search_seeds(cfg: ExperimentConfig, objective, space: str | None = None,
-                  length: int | None = None, map_fn=None) -> list[SearchResult]:
-    results = []
-    for seed in cfg.seeds:
-        ga = cfg.ga_config(seed, space=space, length=length)
-        results.append(ga_search(objective, ga, map_fn=map_fn))
-    return results
+def _search_seeds(cfg: ExperimentConfig, objective, map_fn=None) -> list[SearchResult]:
+    return [ga_search(objective, cfg.ga_config(seed), map_fn=map_fn) for seed in cfg.seeds]
 
 
-def _summary_stats(values: list[float]) -> dict:
-    mean, stderr = mean_and_stderr(values)
-    return {"max": max(values), "mean": mean,
-            "std_err": stderr if len(values) > 1 else None}
-
-
-def _write_seed_designs(outdir: str, results: list[SearchResult],
-                        seeds: tuple[int, ...], best_idx: int) -> None:
-    ddir = os.path.join(outdir, "designs")
-    os.makedirs(ddir, exist_ok=True)
-    for seed, r in zip(seeds, results):
-        save_design(r.best_design, os.path.join(ddir, f"seed_{seed}.txt"))
-    save_design(results[best_idx].best_design, os.path.join(outdir, "best_design.txt"))
-
-
-def cmd_search_maximin(args) -> int:
-    cfg = config_from_args(args)
-    threads = resolve_threads(cfg.threads)
-    started, t0, c0 = _now_iso(), time.perf_counter(), time.process_time()
-    ev = cfg.evaluator()
-    objective = maximin_objective(ev, cfg.make_grid("search"))
-    results = _search_seeds(cfg, objective, map_fn=_map_fn(threads))
-    report_grid = cfg.report_param_grid()
-    noise, drift = cfg.noise(), cfg.drift()
-    per_seed = []
-    finals = []
-    for seed, r in zip(cfg.seeds, results):
-        mr = min_phi_a(r.best_design, report_grid, cfg.tr, noise, drift, cfg.run_shift)
-        finals.append(mr.value)
-        row = {"seed": seed, "search_objective": r.best_objective,
-               "min_phi_a": min_result_dict(mr),
-               "evaluations": r.n_evaluations, "generations": len(r.trace) - 1}
-        if cfg.q_types >= 2 and cfg.region == "theta0":
-            row["min_rg"] = min_rg(r.best_design, p_grid(COMPARISON_P_STEP), cfg.tr,
-                                   noise, drift, run_shift=cfg.run_shift)
-        per_seed.append(row)
-    best_idx = max(range(len(finals)), key=lambda i: (finals[i], -i))
+def _finish_search(cfg: ExperimentConfig, run: _RunClock, results: list[SearchResult],
+                   criterion: str, reports: list[MinResult], row_extras: list[dict],
+                   summary_extras: dict) -> int:
+    """Report one search per seed: `reports` holds each best design's worst
+    case under `criterion`, `row_extras` more fields of its summary row, and
+    `summary_extras` more summary fields, placed after the config."""
+    finals = [mr.value for mr in reports]
+    best_idx = _best_index(finals)
+    mean, stderr = mean_and_stderr(finals)
+    stats = {"max": max(finals), "mean": mean,
+             "std_err": stderr if len(finals) > 1 else None}
     summary = {
-        "criterion": "min_phi_a",
+        "criterion": criterion,
         "config": cfg.to_json_dict(),
-        "per_seed": per_seed,
-        "stats": _summary_stats(finals),
+        **summary_extras,
+        "per_seed": [{"seed": seed, "search_objective": r.best_objective,
+                      criterion: min_result_dict(mr), "evaluations": r.n_evaluations,
+                      "generations": len(r.trace) - 1, **extra}
+                     for seed, r, mr, extra in zip(cfg.seeds, results, reports, row_extras)],
+        "stats": stats,
         "best_seed": cfg.seeds[best_idx],
-        "best_min_phi_a": finals[best_idx],
+        f"best_{criterion}": finals[best_idx],
     }
     outdir = _ensure_out(cfg)
-    _write_seed_designs(outdir, results, cfg.seeds, best_idx)
+    ddir = os.path.join(outdir, "designs")
+    os.makedirs(ddir, exist_ok=True)
+    for seed, r in zip(cfg.seeds, results):
+        save_design(r.best_design, os.path.join(ddir, f"seed_{seed}.txt"))
+    save_design(results[best_idx].best_design, os.path.join(outdir, "best_design.txt"))
     write_json(os.path.join(outdir, "summary.json"), summary)
-    write_run_meta(outdir, started, time.perf_counter() - t0,
-                   time.process_time() - c0, threads,
-                   {"per_seed_cpu_s": [r.cpu_time_s for r in results]})
-    stats = summary["stats"]
-    print(f"min phi_a over {len(cfg.seeds)} seed(s): max {fmt_float(stats['max'])}, "
+    run.finish(outdir, {"per_seed_cpu_s": [r.cpu_time_s for r in results]})
+    label = criterion.replace("_", " ", 1)  # min_phi_a -> "min phi_a"
+    print(f"{label} over {len(cfg.seeds)} seed(s): max {fmt_float(stats['max'])}, "
           f"mean {fmt_float(stats['mean'])}"
           + (f", std err {fmt_float(stats['std_err'])}" if stats["std_err"] is not None else ""))
     print(f"best design (seed {summary['best_seed']}) -> {outdir}/best_design.txt")
     return 0
+
+
+def cmd_search_maximin(args) -> int:
+    cfg = config_from_args(args)
+    run = _RunClock(cfg)
+    objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
+    results = _search_seeds(cfg, objective, map_fn=_map_fn(run.threads))
+    report_grid = cfg.make_grid()
+    noise, drift = cfg.noise(), cfg.drift()
+    reports = [min_phi_a(r.best_design, report_grid, cfg.tr, noise, drift, cfg.run_shift)
+               for r in results]
+    with_rg = cfg.q_types >= 2 and cfg.region == "theta0"
+    extras = [{"min_rg": min_rg(r.best_design, p_grid(COMPARISON_P_STEP), cfg.tr, noise,
+                                drift, run_shift=cfg.run_shift)} if with_rg else {}
+              for r in results]
+    return _finish_search(cfg, run, results, "min_phi_a", reports, extras, {})
 
 
 def cmd_search_mme(args) -> int:
     cfg = config_from_args(args)
     if not cfg.table:
         raise ConfigurationError("search-mme needs --table PATH (or config key 'table')")
-    threads = resolve_threads(cfg.threads)
-    started, t0, c0 = _now_iso(), time.perf_counter(), time.process_time()
+    run = _RunClock(cfg)
     table = _load_table(cfg.table, cfg)
     grid = cfg.make_grid("search", include_zero=True)
-    ev = cfg.evaluator()
-    objective = mme_objective(ev, grid, table)
-    results = _search_seeds(cfg, objective, map_fn=_map_fn(threads))
+    objective = mme_objective(cfg.evaluator(), grid, table)
+    results = _search_seeds(cfg, objective, map_fn=_map_fn(run.threads))
     noise, drift = cfg.noise(), cfg.drift()
-    per_seed = []
-    finals = []
-    for seed, r in zip(cfg.seeds, results):
-        mr = min_re(r.best_design, grid, table, cfg.tr, noise, drift, cfg.run_shift)
-        finals.append(mr.value)
-        per_seed.append({"seed": seed, "search_objective": r.best_objective,
-                         "min_re": min_result_dict(mr),
-                         "evaluations": r.n_evaluations,
-                         "generations": len(r.trace) - 1})
-    best_idx = max(range(len(finals)), key=lambda i: (finals[i], -i))
-    summary = {
-        "criterion": "min_re",
-        "config": cfg.to_json_dict(),
-        "table": cfg.table,
-        "table_entries": len(table),
-        "per_seed": per_seed,
-        "stats": _summary_stats(finals),
-        "best_seed": cfg.seeds[best_idx],
-        "best_min_re": finals[best_idx],
-    }
-    outdir = _ensure_out(cfg)
-    _write_seed_designs(outdir, results, cfg.seeds, best_idx)
-    write_json(os.path.join(outdir, "summary.json"), summary)
-    write_run_meta(outdir, started, time.perf_counter() - t0,
-                   time.process_time() - c0, threads,
-                   {"per_seed_cpu_s": [r.cpu_time_s for r in results]})
-    stats = summary["stats"]
-    print(f"min re over {len(cfg.seeds)} seed(s): max {fmt_float(stats['max'])}, "
-          f"mean {fmt_float(stats['mean'])}"
-          + (f", std err {fmt_float(stats['std_err'])}" if stats["std_err"] is not None else ""))
-    print(f"best design (seed {summary['best_seed']}) -> {outdir}/best_design.txt")
-    return 0
+    reports = [min_re(r.best_design, grid, table, cfg.tr, noise, drift, cfg.run_shift)
+               for r in results]
+    return _finish_search(cfg, run, results, "min_re", reports, [{} for _ in results],
+                          {"table": cfg.table, "table_entries": len(table)})
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +458,7 @@ def cmd_search_mme(args) -> int:
 
 def cmd_build_table(args) -> int:
     cfg = config_from_args(args)
-    threads = resolve_threads(cfg.threads)
-    started, t0, c0 = _now_iso(), time.perf_counter(), time.process_time()
+    run = _RunClock(cfg)
     grid = cfg.make_grid("search", include_zero=True)
     outdir = _ensure_out(cfg)
     path = cfg.table or os.path.join(outdir, "table.json")
@@ -494,22 +468,18 @@ def cmd_build_table(args) -> int:
         print(f"merging into existing table with {len(existing)} entries")
     ev = cfg.evaluator()
     ga = cfg.ga_config(cfg.seeds[0])
-    done = {"n": 0}
 
     def progress(i, total):
-        done["n"] = i
         if i % 25 == 0 or i == total:
             print(f"  {i}/{total} grid points", file=sys.stderr)
 
     table = build_local_opt_table(grid, ev, ga, existing=existing,
-                                  map_fn=_map_fn(threads), progress=progress)
+                                  map_fn=_map_fn(run.threads), progress=progress)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     table.save(path)
-    write_run_meta(outdir, started, time.perf_counter() - t0,
-                   time.process_time() - c0, threads,
-                   {"table": path, "grid_points": grid.n_points})
+    run.finish(outdir, {"table": path, "grid_points": grid.n_points})
     print(f"wrote {path} ({len(table)} entries over {grid.n_points} grid points)")
     return 0
 
@@ -520,18 +490,11 @@ def cmd_build_table(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = config_from_args(args)
-    threads = resolve_threads(cfg.threads)
-    started, t0, c0 = _now_iso(), time.perf_counter(), time.process_time()
+    run = _RunClock(cfg)
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
     noise, drift = cfg.noise(), cfg.drift()
-    denom = None
-    if table is not None:
-        missing = table.missing(grid)
-        if missing:
-            raise TableLookupError(
-                f"table does not cover the comparison grid ({len(missing)} points missing)")
-        denom = np.array([[table.value(th, p) for p in grid.ps] for th in grid.thetas])
+    denom = table.denominators(grid) if table is not None else None
     names = []
     rows = []
     per_design = []
@@ -539,18 +502,15 @@ def cmd_compare(args) -> int:
         d = _load_design_checked(path, cfg)
         name = os.path.splitext(os.path.basename(path))[0]
         names.append(name)
-        ev = cfg.evaluator(len(d))
-        values = ev.phi_a_grid(d, grid.thetas, grid.ps)
+        values = cfg.evaluator(len(d)).phi_a_grid(d, grid.thetas, grid.ps)
         re_values = values / denom if denom is not None else None
         for row in grid_rows(grid, values, re_values):
             rows.append([name, *row])
         entry = {"design": name, "file": path,
-                 "min_phi_a": min_result_dict(
-                     min_phi_a(d, grid, cfg.tr, noise, drift, cfg.run_shift)),
+                 "min_phi_a": min_result_dict(worst_case(values, grid)),
                  "mean_phi_a": float(values.mean()), "max_phi_a": float(values.max())}
         if re_values is not None:
-            entry["min_re"] = min_result_dict(
-                min_re(d, grid, table, cfg.tr, noise, drift, cfg.run_shift))
+            entry["min_re"] = min_result_dict(worst_case(re_values, grid))
         if args.rg and d.q_types >= 2:
             entry["min_rg"] = min_rg(d, grid.ps, cfg.tr, noise, drift,
                                      run_shift=cfg.run_shift)
@@ -564,8 +524,7 @@ def cmd_compare(args) -> int:
     write_csv(os.path.join(outdir, "comparison.csv"),
               ["design"] + grid_header(cfg.q_types, with_re=denom is not None), rows)
     write_json(os.path.join(outdir, "comparison.json"), summary)
-    write_run_meta(outdir, started, time.perf_counter() - t0,
-                   time.process_time() - c0, threads)
+    run.finish(outdir)
     for i in ranking:
         e = per_design[i]
         line = f"{e['design']}: min phi_a {fmt_float(e['min_phi_a']['value'])}"
@@ -585,45 +544,48 @@ def cmd_example_miezin(args) -> int:
     cfg = config_from_args(args)
     cfg = replace(cfg, q_types=1, length=132, isi=2.5, tr=2.5, runs=2,
                   run_shift=1.25, drift_order=2, region="theta0")
-    threads = resolve_threads(cfg.threads)
-    started, t0, c0 = _now_iso(), time.perf_counter(), time.process_time()
-    noise, drift = cfg.noise(), cfg.drift()
+    run = _RunClock(cfg)
+    drift = cfg.drift()
     search_grid = cfg.make_grid("search")
-    report_grid = cfg.report_param_grid()
-    map_fn = _map_fn(threads)
+    report_grid = cfg.make_grid()
+    map_fn = _map_fn(run.threads)
 
     ev = cfg.evaluator()
-    objective = maximin_objective(ev, search_grid)
-    results = _search_seeds(cfg, objective, map_fn=map_fn)
-    finals = [min_phi_a(r.best_design, report_grid, cfg.tr, noise, drift,
-                        cfg.run_shift).value for r in results]
-    best_idx = max(range(len(finals)), key=lambda i: (finals[i], -i))
+
+    def report_values(d: Design) -> np.ndarray:
+        return ev.phi_a_grid(d, report_grid.thetas, report_grid.ps)
+
+    results = _search_seeds(cfg, maximin_objective(ev, search_grid), map_fn=map_fn)
+    seed_values = [report_values(r.best_design) for r in results]
+    best_idx = _best_index([float(v.min()) for v in seed_values])
     d_star = results[best_idx].best_design
 
-    # competing designs: alternating six-rest/six-stimulus blocks, an
-    # m-sequence wrapped to length, and the best of 100 spacing-constrained
-    # random sequences (about half rest, mean onset gap near 5 s)
-    competitors = {"maximin": d_star,
-                   "block": block_design(1, 6, cfg.length, cfg.isi),
-                   "mseq": m_sequence_design(1, cfg.length, cfg.isi)}
+    # competing designs, each with its values on the report grid: alternating
+    # six-rest/six-stimulus blocks, an m-sequence wrapped to length, and the
+    # best of 100 spacing-constrained random sequences (about half rest, mean
+    # onset gap near 5 s)
+    block = block_design(1, 6, cfg.length, cfg.isi)
+    mseq = m_sequence_design(1, cfg.length, cfg.isi)
+    competitors = {"maximin": (d_star, seed_values[best_idx]),
+                   "block": (block, report_values(block)),
+                   "mseq": (mseq, report_values(mseq))}
     rand_seeds = np.random.SeedSequence(cfg.seeds[0]).spawn(args.n_random)
     best_rand, best_rand_min = None, -1.0
     for child in rand_seeds:
         seed = int(child.generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
         dr = constrained_random(cfg.length, 0.5, (4.9, 5.1), cfg.isi, seed)
-        v = min_phi_a(dr, report_grid, cfg.tr, noise, drift, cfg.run_shift).value
+        values = report_values(dr)
+        v = float(values.min())
         if v > best_rand_min:
-            best_rand, best_rand_min = dr, v
+            best_rand, best_rand_min = (dr, values), v
     competitors["random_best"] = best_rand
 
     rows = []
     per_design = {}
-    for name, d in competitors.items():
-        values = ev.phi_a_grid(d, report_grid.thetas, report_grid.ps)
+    for name, (d, values) in competitors.items():
         for row in grid_rows(report_grid, values):
             rows.append([name, *row])
-        per_design[name] = min_result_dict(
-            min_phi_a(d, report_grid, cfg.tr, noise, drift, cfg.run_shift))
+        per_design[name] = min_result_dict(worst_case(values, report_grid))
 
     # robustness: how much of the rho-matched optimum the rho=0.3 design keeps
     robustness = {}
@@ -635,7 +597,7 @@ def cmd_example_miezin(args) -> int:
         res_alt = _search_seeds(cfg_alt, obj_alt, map_fn=map_fn)
         fin_alt = [min_phi_a(r.best_design, report_grid, cfg.tr, noise_alt, drift,
                              cfg.run_shift).value for r in res_alt]
-        alt_idx = max(range(len(fin_alt)), key=lambda i: (fin_alt[i], -i))
+        alt_idx = _best_index(fin_alt)
         own = min_phi_a(d_star, report_grid, cfg.tr, noise_alt, drift,
                         cfg.run_shift).value
         robustness[f"rho_{fmt_float(rho_alt)}"] = {
@@ -653,13 +615,12 @@ def cmd_example_miezin(args) -> int:
     outdir = _ensure_out(cfg)
     ddir = os.path.join(outdir, "designs")
     os.makedirs(ddir, exist_ok=True)
-    for name, d in competitors.items():
+    for name, (d, _) in competitors.items():
         save_design(d, os.path.join(ddir, f"{name}.txt"))
     write_csv(os.path.join(outdir, "distributions.csv"),
               ["design"] + grid_header(1, with_re=False), rows)
     write_json(os.path.join(outdir, "summary.json"), summary)
-    write_run_meta(outdir, started, time.perf_counter() - t0,
-                   time.process_time() - c0, threads)
+    run.finish(outdir)
     for name in competitors:
         print(f"{name}: min phi_a {fmt_float(per_design[name]['value'])}")
     for key, r in robustness.items():

@@ -311,7 +311,14 @@ def _grid_values(d: Design, grid: ParamGrid, tr: float, noise: NoiseSpec,
     return ev.phi_a_grid(d, grid.thetas, grid.ps)
 
 
-def _argmin_result(values: np.ndarray, grid: ParamGrid) -> MinResult:
+def worst_case(values: np.ndarray, grid: ParamGrid) -> MinResult:
+    """Smallest of a design's values over `grid`, with its point.
+
+    `values` is shaped like `Evaluator.phi_a_grid(d, grid.thetas, grid.ps)`:
+    A-criterion values for the maximin criterion, or those divided by
+    `LocalOptTable.denominators(grid)` for the maximin-efficient one.  Ties
+    go to the first point in grid order.
+    """
     flat = values.reshape(-1)  # row-major matches the theta-major grid order
     idx = int(np.argmin(flat))
     th = grid.thetas[idx // len(grid.ps)]
@@ -323,7 +330,7 @@ def min_phi_a(d: Design, grid: ParamGrid, tr: float, noise: NoiseSpec,
               drift: DriftSpec, run_shift: float = 1.25) -> MinResult:
     """Worst-case A-criterion value over the grid (first minimizer in grid
     order on ties)."""
-    return _argmin_result(_grid_values(d, grid, tr, noise, drift, run_shift), grid)
+    return worst_case(_grid_values(d, grid, tr, noise, drift, run_shift), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +389,22 @@ class LocalOptTable:
 
     def missing(self, grid: ParamGrid) -> list:
         return [(th, p) for th, p in grid.points() if self.key(th, p) not in self.entries]
+
+    def denominators(self, grid: ParamGrid) -> np.ndarray:
+        """Tabulated local optimum at every point of `grid`, shaped like the
+        values of `Evaluator.phi_a_grid(d, grid.thetas, grid.ps)`, so that
+        dividing those values by it gives relative efficiencies.
+
+        Raises TableLookupError naming how many points are missing and the
+        first of them in grid order.
+        """
+        missing = self.missing(grid)
+        if missing:
+            th, p = missing[0]
+            raise TableLookupError(
+                f"table does not cover the grid ({len(missing)} points missing, "
+                f"first: theta={th}, p=({p.p1}, {p.p6}))")
+        return np.array([[self.value(th, p) for p in grid.ps] for th in grid.thetas])
 
     def covers(self, grid: ParamGrid) -> bool:
         return not self.missing(grid)
@@ -461,11 +484,7 @@ def min_re(d: Design, grid: ParamGrid, table: LocalOptTable, tr: float,
     """Worst-case relative efficiency over the grid (zero direction included
     by the caller via grid.with_zero())."""
     values = _grid_values(d, grid, tr, noise, drift, run_shift)
-    denom = np.empty_like(values)
-    for i, th in enumerate(grid.thetas):
-        for j, p in enumerate(grid.ps):
-            denom[i, j] = table.value(th, p)
-    return _argmin_result(values / denom, grid)
+    return worst_case(values / table.denominators(grid), grid)
 
 
 # ---------------------------------------------------------------------------

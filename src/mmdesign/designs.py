@@ -151,9 +151,6 @@ class DesignMatrix:
     isi: float
     q_types: int
 
-    def stacked(self) -> np.ndarray:
-        return np.hstack(self.blocks)
-
 
 def design_matrix(d: Design, tr: float, hrf_length: int | None = None,
                   subsample: bool = True) -> DesignMatrix:
@@ -281,9 +278,7 @@ def m_sequence(field_order: int, degree: int, primitive_poly: tuple[int, ...] | 
         raise ConfigurationError(f"degree must be >= 1 (got {degree})")
     add, mul, neg = _field_ops(field_order)
     if primitive_poly is None:
-        primitive_poly = DEFAULT_PRIMITIVE_POLYS.get((field_order, degree))
-        if primitive_poly is None:
-            primitive_poly = find_primitive_poly(field_order, degree)
+        primitive_poly = default_primitive_poly(field_order, degree)
     coeffs = tuple(int(c) for c in primitive_poly)
     if len(coeffs) != degree:
         raise ConfigurationError(
@@ -313,6 +308,12 @@ def m_sequence(field_order: int, degree: int, primitive_poly: tuple[int, ...] | 
             f"polynomial {coeffs} over GF({field_order}) is not primitive "
             f"(state did not recur after {period} steps)")
     return out
+
+
+def default_primitive_poly(field_order: int, degree: int) -> tuple[int, ...]:
+    """The verified default for (field_order, degree), else the first found."""
+    poly = DEFAULT_PRIMITIVE_POLYS.get((field_order, degree))
+    return poly if poly is not None else find_primitive_poly(field_order, degree)
 
 
 def find_primitive_poly(field_order: int, degree: int) -> tuple[int, ...]:
@@ -355,19 +356,28 @@ def extend_m_sequence(seq: list[int], target_len: int, isi: float,
     return Design(labels=labels, q_types=q_types, isi=isi)
 
 
-def m_sequence_design(q_types: int, length: int, isi: float,
-                      degree: int | None = None) -> Design:
-    """m-sequence-based design of exactly `length` slots over {0..Q}.
+def m_sequence_params(q_types: int, length: int,
+                      degree: int | None = None) -> tuple[int, int, tuple[int, ...]]:
+    """(field order, degree, primitive polynomial) of the m-sequence design of
+    `length` slots over {0..Q}.
 
-    Uses GF(Q+1); the default degree is the smallest with period >= length
-    (wrapping handles shortfalls when no degree fits exactly).
+    The field is GF(Q+1); the default degree is the smallest with period >=
+    length (wrapping handles shortfalls when no degree fits exactly).
     """
     field = q_types + 1
     if degree is None:
         degree = 2
         while field ** degree - 1 < length and degree < 20:
             degree += 1
-    seq = m_sequence(field, degree)
+    return field, degree, default_primitive_poly(field, degree)
+
+
+def m_sequence_design(q_types: int, length: int, isi: float,
+                      degree: int | None = None) -> Design:
+    """m-sequence-based design of exactly `length` slots over {0..Q}; see
+    m_sequence_params."""
+    field, degree, poly = m_sequence_params(q_types, length, degree)
+    seq = m_sequence(field, degree, primitive_poly=poly)
     return extend_m_sequence(seq, length, isi=isi, q_types=q_types)
 
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .criteria import LocalOptTable, ParamGrid
 from .designs import Design, block_design, cyclic_design, m_sequence_design
-from .errors import (ConfigurationError, GenerationError, NumericalError,
-                     TableLookupError)
+from .errors import ConfigurationError, GenerationError, NumericalError
 from .glsmodel import Evaluator
 
 SPACE_FULL = "xi"
@@ -43,7 +42,6 @@ class GaConfig:
     crossover_pairs: int = 9
     mutation_rate: float = 0.01
     immigrant_count: int = 3
-    elite_count: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -53,8 +51,9 @@ class GaConfig:
             raise ConfigurationError("q_types and length must be >= 1")
         if self.isi <= 0:
             raise ConfigurationError(f"isi must be positive (got {self.isi})")
-        if self.elite_count < 0 or self.population_size < self.elite_count + 1:
-            raise ConfigurationError("population_size must be >= elite_count + 1")
+        if self.population_size < 2:
+            raise ConfigurationError(
+                f"population_size must be >= 2 (got {self.population_size})")
         if 2 * self.crossover_pairs > self.population_size:
             raise ConfigurationError("crossover needs 2*crossover_pairs <= population_size")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -263,16 +262,7 @@ def maximin_objective(ev: Evaluator, grid: ParamGrid):
 def mme_objective(ev: Evaluator, grid: ParamGrid, table: LocalOptTable):
     """Worst-case relative efficiency over the grid (which should include the
     zero direction), as a fitness function."""
-    missing = table.missing(grid)
-    if missing:
-        th, p = missing[0]
-        raise TableLookupError(
-            f"table misses {len(missing)} grid points, first: theta={th}, "
-            f"p=({p.p1}, {p.p6})")
-    denom = np.empty((len(grid.thetas), len(grid.ps)))
-    for i, th in enumerate(grid.thetas):
-        for j, p in enumerate(grid.ps):
-            denom[i, j] = table.value(th, p)
+    denom = table.denominators(grid)
 
     def fitness(d: Design) -> float:
         return float((ev.phi_a_grid(d, grid.thetas, grid.ps) / denom).min())

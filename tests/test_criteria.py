@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,9 +275,19 @@ def test_table_missing_and_covers():
     table, d, grid = make_table()
     assert table.covers(grid)
     assert table.missing(grid) == []
+    denom = table.denominators(grid)
+    assert denom.shape == (len(grid.thetas), len(grid.ps))
+    for i, th in enumerate(grid.thetas):
+        for j, p in enumerate(grid.ps):
+            assert denom[i, j] == table.value(th, p)
     bigger = make_grid(1, "search", p_step=0.5, phi_step=0.25 * math.pi)
     assert not table.covers(bigger)
-    assert len(table.missing(bigger)) > 0
+    missing = table.missing(bigger)
+    assert len(missing) > 0
+    th, p = missing[0]
+    first = f"({len(missing)} points missing, first: theta={th}, p=({p.p1}, {p.p6}))"
+    with pytest.raises(TableLookupError, match=re.escape(first)):
+        table.denominators(bigger)
 
 
 def test_table_merge_keeps_best():

@@ -387,6 +387,11 @@ def test_information_dominated_by_gram_of_e(q, seed, runs, p1, p6, zero):
     m = ev.info_matrix(d, theta, p)
     gap = np.linalg.eigvalsh(ete - m)
     assert gap[0] >= -1e-9 * np.linalg.norm(ete, 2)
+    # E'E as the Gram path gives it: M at the zero direction, where L = 0.
+    # The explicit E'E above differs from it by rounding, which phi_A can
+    # amplify by the condition number (1.4e-9 relative at rcond 2e-11).
+    ete_gram = ev.info_matrix(d, np.zeros(q), p)
+    assert 0.0 <= phi_from_info(m) <= phi_from_info(ete_gram)
 
 
 def test_stacked_bundles_shared_by_threads():

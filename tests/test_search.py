@@ -42,8 +42,8 @@ def test_config_validation():
         GaConfig(q_types=0, length=12, isi=4.0)
     with pytest.raises(ConfigurationError):
         GaConfig(q_types=1, length=12, isi=0.0)
-    with pytest.raises(ConfigurationError):
-        GaConfig(population_size=1, elite_count=1, **base)
+    with pytest.raises(ConfigurationError, match="population_size must be >= 2"):
+        GaConfig(population_size=1, crossover_pairs=0, **base)
     with pytest.raises(ConfigurationError):
         GaConfig(population_size=10, crossover_pairs=6, **base)
     with pytest.raises(ConfigurationError):
