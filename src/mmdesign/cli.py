@@ -541,6 +541,8 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_example_miezin(args) -> int:
+    if args.n_random < 1:
+        raise ConfigurationError(f"--n-random must be >= 1 (got {args.n_random})")
     cfg = config_from_args(args)
     cfg = replace(cfg, q_types=1, length=132, isi=2.5, tr=2.5, runs=2,
                   run_shift=1.25, drift_order=2, region="theta0")

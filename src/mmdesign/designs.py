@@ -247,8 +247,8 @@ DEFAULT_PRIMITIVE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 5): (1, 0, 1, 0, 0), (2, 6): (1, 1, 0, 0, 0, 0),
     (2, 7): (1, 1, 0, 0, 0, 0, 0), (2, 8): (1, 0, 1, 1, 1, 0, 0, 0),
     (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0), (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-    (3, 2): (1, 1), (3, 3): (1, 2, 0), (3, 4): (2, 1, 0, 0), (3, 5): (1, 2, 0, 0, 0),
-    (4, 2): (2, 1), (4, 3): (1, 1, 0), (4, 4): (2, 0, 1, 1),
+    (3, 2): (2, 1), (3, 3): (1, 2, 0), (3, 4): (2, 1, 0, 0), (3, 5): (1, 2, 0, 0, 0),
+    (4, 2): (2, 1), (4, 3): (2, 1, 1), (4, 4): (2, 0, 1, 1),
     (5, 2): (2, 1), (5, 3): (2, 3, 0),
 }
 

@@ -18,7 +18,9 @@ so V X is one shifted subtraction per run, and the drift projector is the
 identity minus Qs Qs' for a thin orthonormal basis Qs of V S.  Everything
 after the Gram matrix is Q x Q algebra: one matrix product of Y with the
 stacked HRF bundles of all p points, one batched product over p, and
-closed-form 2 x 2 pseudo-inverses for the nuisance block.
+closed-form 2 x 2 pseudo-inverses for the nuisance block.  A grid's HRF
+bundles are built in one vectorized pass (`hrf.hrf_bundle` over all its p
+points) and kept per p-point tuple.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ from .errors import ConfigurationError
 from .hrf import HrfParams, default_hrf_length, hrf_bundle
 
 RCOND_SINGULAR = 1e-12  # below this reciprocal condition number, phi_a = 0
+# At or below this eigenvalue ratio, L'L counts as rank one.  L'L is a Gram
+# matrix, so its small eigenvalue is known only to about eps * lmax: the
+# full-rank inverse errs by about eps / ratio and the rank-one one by about
+# ratio, and the two errors meet at sqrt(eps).
+LL_RANK_ONE_RATIO = math.sqrt(np.finfo(float).eps)
 DEFAULT_RUN_SHIFT = 1.25
 STACK_CACHE_SIZE = 8  # distinct p-point tuples whose stacked bundles an evaluator keeps
 
@@ -223,7 +230,7 @@ class Evaluator:
 
     def bundle(self, p: HrfParams) -> np.ndarray:
         """(width, 3) columns: heights, d/dp1, d/dp6, stacked over run offsets."""
-        return hrf_bundle(p.p1, p.p6, self.delta, self.offsets, self.hrf_length)
+        return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
     # -- explicit matrices (single points; used by contracts and tests) ----
 
@@ -266,17 +273,18 @@ class Evaluator:
         return out
 
     def _stacked_bundles(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        """Bundles of the p points in the tuple `ps`, stacked two ways:
-        (width, n_p*3) for the product with the Gram matrix and
-        (n_p, 3, width) for the batched product over p.  Kept per distinct
-        tuple; a search passes the same tuple object on every call, which is
-        found without hashing its n_p points."""
+        """Bundles of the p points in the tuple `ps`, built in one pass and
+        stacked two ways: (width, n_p*3) for the product with the Gram matrix
+        and (n_p, 3, width) for the batched product over p.  Kept per
+        distinct tuple; a search passes the same tuple object on every call,
+        which is found without hashing its n_p points."""
         recent_ps, recent = self._recent_stack
         if recent_ps is ps:
             return recent
         stacked = self._stacks.get(ps)
         if stacked is None:
-            w_all = np.stack([self.bundle(p) for p in ps])        # (n_p, width, 3)
+            w_all = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps),
+                               self.delta, self.offsets, self.hrf_length)  # (n_p, width, 3)
             flat = np.ascontiguousarray(w_all.transpose(1, 0, 2)).reshape(self.width, -1)
             stacked = (flat, np.ascontiguousarray(w_all.transpose(0, 2, 1)))
             with self._stacks_lock:
@@ -330,7 +338,7 @@ def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.sqrt((a - c) ** 2 + 4.0 * b * b)
     lmax = 0.5 * (t + s)
     lmin = 0.5 * (t - s)
-    full = lmin > 1e-13 * lmax
+    full = lmin > LL_RANK_ONE_RATIO * lmax
     # rank-one fallback: M/lmax^2 approximates the truncated inverse; an
     # all-zero block divides by infinity and gets a zero inverse
     rank1 = (~full) & (lmax > 0)

@@ -6,6 +6,12 @@ unknown: the time-to-peak ``p1`` of the positive lobe and the onset delay
 ``p6``; the remaining shape constants default to the conventional values
 (16, 1, 1, 1/6) for the undershoot delay, the two dispersions, and the
 undershoot weight.
+
+The normalizing constant is the exact maximum over the canonical 0.001 s
+scan of [0, 32] s, found by a windowed scan (see ``_norm_info``).  Sampled
+heights and their two parameter partials come from ``hrf_bundle``, which
+evaluates the p points of a grid together, in vectorized passes of 64
+points; ``sample_hrf`` and ``hrf_partial`` are its one-point case.
 """
 
 from __future__ import annotations
@@ -22,13 +28,19 @@ from .errors import ConfigurationError, NumericalError
 # resolution of the canonical normalization scan.
 HRF_WINDOW = 32.0
 NORM_SCAN_STEP = 1e-3
+NORM_COARSE_STRIDE = 100  # canonical scan points per coarse step (0.1 s)
 FD_STEP = 1e-5  # central finite-difference step for parameter partials
+# Points per vectorized pass of hrf_bundle: keeps its working arrays (and the
+# normalization scans of their p1 values) small; a whole 651-point grid at
+# once raised a search's peak resident memory by about 4%.
+BUNDLE_CHUNK = 64
 
 # Shape constants: undershoot peak, dispersions of both lobes, undershoot weight.
 DEFAULT_P2 = 16.0
 DEFAULT_P3 = 1.0
 DEFAULT_P4 = 1.0
 DEFAULT_P5 = 1.0 / 6.0
+DEFAULT_SHAPE = (DEFAULT_P2, DEFAULT_P3, DEFAULT_P4, DEFAULT_P5)
 
 
 @dataclass(frozen=True)
@@ -72,22 +84,27 @@ class HrfVector:
         return self.heights.shape[0]
 
 
-def gamma_pdf(x, alpha: float, beta: float):
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def gamma_pdf(x, alpha, beta: float):
     """Gamma density x^(alpha-1) exp(-x/beta) / (Gamma(alpha) beta^alpha).
 
-    Zero for x <= 0.  Accepts scalars or arrays; scalars return floats.
+    Zero for x <= 0.  Accepts scalars or arrays; `alpha` may be an array that
+    broadcasts against `x` (one shape per row).  A scalar result is a float.
     """
-    if alpha <= 0 or beta <= 0:
+    a = np.asarray(alpha, dtype=float)
+    if np.any(a <= 0) or beta <= 0:
         raise ConfigurationError(f"gamma_pdf needs alpha, beta > 0 (got {alpha}, {beta})")
     arr = np.asarray(x, dtype=float)
-    log_norm = math.lgamma(alpha) + alpha * math.log(beta)
+    log_norm = np.asarray(_lgamma(a), dtype=float) + a * math.log(beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(
             arr > 0.0,
-            np.exp((alpha - 1.0) * np.log(np.where(arr > 0.0, arr, 1.0)) - arr / beta - log_norm),
+            np.exp((a - 1.0) * np.log(np.where(arr > 0.0, arr, 1.0)) - arr / beta - log_norm),
             0.0,
         )
-    if np.isscalar(x) or arr.ndim == 0:
+    if vals.ndim == 0:
         return float(vals)
     return vals
 
@@ -98,28 +115,55 @@ def g_raw(t, p: HrfParams):
 
 
 def _g_raw_floats(t, p1, p6, p2, p3, p4, p5):
+    """g_raw from floats; p1 and p6 may be arrays that broadcast against t."""
     x = np.asarray(t, dtype=float) - p6
     vals = gamma_pdf(x, p1 / p3, p3) - p5 * gamma_pdf(x, p2 / p4, p4)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
+    if np.ndim(vals) == 0:
         return float(vals)
     return vals
 
 
 @lru_cache(maxsize=4096)
-def _norm_info(p1: float, p2: float, p3: float, p4: float, p5: float) -> tuple[float, int]:
-    """(normalizing max, its index on the canonical scan) of the p6 = 0 curve.
+def _norm_info(p1s: tuple[float, ...], p2: float, p3: float, p4: float,
+               p5: float) -> tuple[np.ndarray, np.ndarray]:
+    """(normalizing max, its first index on the canonical scan) of the p6 = 0
+    curve at each p1 in `p1s`, as two arrays.
 
     The max over s of the curve does not depend on p6 (pure time shift with
     the peak interior to the scan window), so the constant is computed once on
     the p6 = 0 axis; this also makes the shift identity exact.  The constant
-    itself is the exact maximum over the canonical 0.001 s grid.
+    is the exact maximum over the canonical 0.001 s grid of [0, 32] s, but not
+    every grid point is evaluated: the scan takes every 100th point (0.1 s
+    apart), keeps each coarse point at least as high as its coarse neighbours
+    (an end point has one), and evaluates every canonical point within one
+    coarse step of those.  Each point's value is computed exactly as the full
+    scan computes it.  The result is the full 32,001-point scan's whenever no
+    other turning point of the curve lies within 0.2 s of its maximum: the
+    curve then rises over the two coarse steps before the maximum and falls
+    over the two after, so the higher end of the coarse step holding the
+    maximum is a kept coarse point.
     """
-    grid = np.arange(int(round(HRF_WINDOW / NORM_SCAN_STEP)) + 1) * NORM_SCAN_STEP
-    vals = _g_raw_floats(grid, p1, 0.0, p2, p3, p4, p5)
-    idx = int(np.argmax(vals))
-    c = float(vals[idx])
-    if not c > 0.0:
-        raise NumericalError(f"HRF normalization failed: nonpositive max for p1={p1}")
+    last = int(round(HRF_WINDOW / NORM_SCAN_STEP))
+    p1 = np.array(p1s, dtype=float)[:, None]
+    coarse_idx = np.arange(0, last + 1, NORM_COARSE_STRIDE)
+    coarse = _g_raw_floats(coarse_idx * NORM_SCAN_STEP, p1, 0.0, p2, p3, p4, p5)
+    edge = np.full((len(p1s), 1), -np.inf)
+    padded = np.hstack([edge, coarse, edge])
+    kept = (coarse >= padded[:, :-2]) & (coarse >= padded[:, 2:])
+    # each row's kept coarse points in index order, padded with its first
+    n_kept = kept.sum(axis=1)
+    width = max(int(n_kept.max()), 1)
+    order = np.argsort(~kept, axis=1, kind="stable")[:, :width]
+    ks = np.where(np.arange(width) < n_kept[:, None], order, order[:, :1])
+    window = np.arange(-NORM_COARSE_STRIDE, NORM_COARSE_STRIDE + 1)
+    near = np.clip(coarse_idx[ks][:, :, None] + window, 0, last).reshape(len(p1s), -1)
+    vals = _g_raw_floats(near * NORM_SCAN_STEP, p1, 0.0, p2, p3, p4, p5)
+    c = vals.max(axis=1)
+    if not np.all(c > 0.0):
+        raise NumericalError(f"HRF normalization failed: nonpositive max for p1 in {p1s}")
+    idx = np.where(vals == c[:, None], near, last + 1).min(axis=1)
+    c.setflags(write=False)
+    idx.setflags(write=False)
     return c, idx
 
 
@@ -144,7 +188,7 @@ def _golden_argmax(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 def normalizing_max(p: HrfParams) -> float:
     """Denominator used by g_normalized (independent of p6)."""
-    return _norm_info(p.p1, p.p2, p.p3, p.p4, p.p5)[0]
+    return float(_norm_info((p.p1,), p.p2, p.p3, p.p4, p.p5)[0][0])
 
 
 def peak_time(p: HrfParams) -> float:
@@ -152,7 +196,7 @@ def peak_time(p: HrfParams) -> float:
     golden-section refinement between the canonical scan's neighbours of its
     maximum.  Only this needs the refinement, so normalizing does not pay
     for it."""
-    idx = _norm_info(p.p1, p.p2, p.p3, p.p4, p.p5)[1]
+    idx = int(_norm_info((p.p1,), p.p2, p.p3, p.p4, p.p5)[1][0])
     last = int(round(HRF_WINDOW / NORM_SCAN_STEP))
     lo = max(idx - 1, 0) * NORM_SCAN_STEP
     hi = min(idx + 1, last) * NORM_SCAN_STEP
@@ -162,15 +206,7 @@ def peak_time(p: HrfParams) -> float:
 
 def g_normalized(t, p: HrfParams):
     """Double-gamma curve scaled so its maximum over the window is one."""
-    c = normalizing_max(p)
-    return _g_normalized_floats(t, p.p1, p.p6, p.p2, p.p3, p.p4, p.p5, c)
-
-
-def _g_normalized_floats(t, p1, p6, p2, p3, p4, p5, c=None):
-    if c is None:
-        c = _norm_info(p1, p2, p3, p4, p5)[0]
-    raw = _g_raw_floats(t, p1, p6, p2, p3, p4, p5)
-    return raw / c
+    return g_raw(t, p) / normalizing_max(p)
 
 
 def default_hrf_length(delta_t: float) -> int:
@@ -186,8 +222,8 @@ def sample_hrf(p: HrfParams, delta_t: float, offset: float = 0.0, length: int | 
         length = default_hrf_length(delta_t)
     if length < 1:
         raise ConfigurationError(f"length must be >= 1 (got {length})")
-    t = offset + np.arange(length) * delta_t
-    return HrfVector(heights=np.asarray(g_normalized(t, p)), delta_t=delta_t, offset=offset)
+    heights = hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length, _shape(p))[0, :, 0]
+    return HrfVector(heights=heights, delta_t=delta_t, offset=offset)
 
 
 def hrf_partial(p: HrfParams, which: str, delta_t: float, offset: float = 0.0,
@@ -203,33 +239,52 @@ def hrf_partial(p: HrfParams, which: str, delta_t: float, offset: float = 0.0,
         raise ConfigurationError(f"which must be 'p1' or 'p6' (got {which!r})")
     if length is None:
         length = default_hrf_length(delta_t)
-    t = offset + np.arange(length) * delta_t
-    eps = FD_STEP
-    if which == "p1":
-        hi = _g_normalized_floats(t, p.p1 + eps, p.p6, p.p2, p.p3, p.p4, p.p5)
-        lo = _g_normalized_floats(t, p.p1 - eps, p.p6, p.p2, p.p3, p.p4, p.p5)
-    else:
-        hi = _g_normalized_floats(t, p.p1, p.p6 + eps, p.p2, p.p3, p.p4, p.p5)
-        lo = _g_normalized_floats(t, p.p1, p.p6 - eps, p.p2, p.p3, p.p4, p.p5)
-    return (np.asarray(hi) - np.asarray(lo)) / (2.0 * eps)
+    col = 1 if which == "p1" else 2
+    return np.array(hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length, _shape(p))[0, :, col])
+
+
+def _shape(p: HrfParams) -> tuple[float, float, float, float]:
+    return (p.p2, p.p3, p.p4, p.p5)
 
 
 @lru_cache(maxsize=65536)
-def hrf_bundle(p1: float, p6: float, delta_t: float, offsets: tuple[float, ...],
-               length: int) -> np.ndarray:
-    """Stacked (len(offsets)*length, 3) array of [heights, d/dp1, d/dp6].
+def hrf_bundle(p1s: tuple[float, ...], p6s: tuple[float, ...], delta_t: float,
+               offsets: tuple[float, ...], length: int,
+               shape: tuple[float, float, float, float] = DEFAULT_SHAPE) -> np.ndarray:
+    """(n_p, len(offsets)*length, 3) array of [heights, d/dp1, d/dp6] at the
+    points (p1s[i], p6s[i]) with shape constants (p2, p3, p4, p5).
 
-    One sampling run per offset, concatenated; all offsets share the single
-    normalizing denominator.  Cached per parameter point (cache hits are
-    bit-identical to cold computation: pure function of the arguments).
+    One sampling run per offset, concatenated; all offsets of a point share
+    its normalizing denominator.  The five curves each point needs (itself,
+    p1 +- 1e-5 and p6 +- 1e-5) are evaluated as one array for up to
+    BUNDLE_CHUNK points at a time, with every element computed as the
+    one-point curve computes it, so a grid's bundles equal its points'
+    one-point bundles bit for bit.  Cached per argument tuple (cache hits
+    are bit-identical to cold computation: pure function of the arguments).
     """
-    p = HrfParams(p1=p1, p6=p6)
-    cols = []
-    for off in offsets:
-        h = sample_hrf(p, delta_t, offset=off, length=length).heights
-        d1 = hrf_partial(p, "p1", delta_t, offset=off, length=length)
-        d6 = hrf_partial(p, "p6", delta_t, offset=off, length=length)
-        cols.append(np.column_stack([h, d1, d6]))
-    out = np.vstack(cols)
+    p1 = np.array(p1s, dtype=float)
+    p6 = np.array(p6s, dtype=float)
+    if p1.shape != p6.shape or p1.ndim != 1:
+        raise ConfigurationError("p1s and p6s must be equal-length sequences")
+    if not np.all(p1 > 1.0):
+        raise ConfigurationError(f"p1 must be > 1 (got {p1[~(p1 > 1.0)][0]})")
+    if np.any(p6 < 0.0):
+        raise ConfigurationError(f"p6 must be >= 0 (got {p6[p6 < 0.0][0]})")
+    p2, p3, p4, p5 = shape
+    eps = FD_STEP
+    t = np.concatenate([off + np.arange(length) * delta_t for off in offsets])
+    out = np.empty((len(p1), len(t), 3))
+    for k in range(0, len(p1), BUNDLE_CHUNK):
+        rows = slice(k, k + BUNDLE_CHUNK)
+        a, b = p1[rows], p6[rows]
+        # per point, the curves at the point, p1 + eps, p1 - eps, p6 + eps, p6 - eps
+        c1 = np.stack([a, a + eps, a - eps, a, a], axis=1)
+        c6 = np.stack([b, b, b, b + eps, b - eps], axis=1)
+        distinct = tuple(sorted(set(c1.ravel().tolist())))
+        norm = _norm_info(distinct, p2, p3, p4, p5)[0][np.searchsorted(distinct, c1)]
+        curves = _g_raw_floats(t, c1[..., None], c6[..., None], p2, p3, p4, p5) / norm[..., None]
+        out[rows, :, 0] = curves[:, 0]
+        out[rows, :, 1] = (curves[:, 1] - curves[:, 2]) / (2.0 * eps)
+        out[rows, :, 2] = (curves[:, 3] - curves[:, 4]) / (2.0 * eps)
     out.setflags(write=False)
     return out

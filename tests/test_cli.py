@@ -359,6 +359,13 @@ def test_exit_code_mistyped_config(tmp_path, key, value):
     assert repr(key) in result[1]
 
 
+def test_exit_code_no_random_competitors(tmp_path):
+    result = run_cli(["example-miezin", "--budget", "20", "--n-random", "0",
+                      "--out", str(tmp_path / "out")])
+    assert_clean_exit(result, 2)
+    assert "--n-random" in result[1]
+
+
 def test_unknown_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "x.txt", "--fancy"])

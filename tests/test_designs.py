@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmdesign.designs import (
+    DEFAULT_PRIMITIVE_POLYS,
     Design,
     block_design,
     constrained_random,
@@ -166,6 +167,12 @@ def test_m_sequence_gf4_counts():
     c = collections.Counter(seq)
     assert c[0] == 63
     assert c[1] == c[2] == c[3] == 64
+
+
+@pytest.mark.parametrize("field_order, degree", sorted(DEFAULT_PRIMITIVE_POLYS))
+def test_default_primitive_polys_give_full_period(field_order, degree):
+    seq = m_sequence(field_order, degree, DEFAULT_PRIMITIVE_POLYS[(field_order, degree)])
+    assert len(seq) == field_order ** degree - 1
 
 
 def test_m_sequence_window_property():

@@ -13,6 +13,7 @@ from mmdesign.criteria import apply_perm, label_permutations, perm_matrix
 from mmdesign.designs import Design, random_design, relabel
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import (
+    LL_RANK_ONE_RATIO,
     STACK_CACHE_SIZE,
     DriftSpec,
     Evaluator,
@@ -392,6 +393,46 @@ def test_information_dominated_by_gram_of_e(q, seed, runs, p1, p6, zero):
     # amplify by the condition number (1.4e-9 relative at rcond 2e-11).
     ete_gram = ev.info_matrix(d, np.zeros(q), p)
     assert 0.0 <= phi_from_info(m) <= phi_from_info(ete_gram)
+
+
+@given(q=st.integers(1, 2), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_phi_continuous_across_rank_one_cutoff(q, seed):
+    # L = [L1, alpha L1 + s r] loses rank as s -> 0, and E is orthogonal to r,
+    # so for every s the exact M is E'E - E'L1 L1'E / |L1|^2.  As s takes
+    # L'L's eigenvalue ratio across the rank-one cutoff of _pinv_sym2_batch,
+    # phi_A must stay at that value instead of jumping between the branches.
+    # From a Gram matrix the rank decision costs about sqrt(eps) = 1.5e-8 of
+    # relative accuracy near the cutoff; the tolerance allows 64 times that.
+    rng = np.random.default_rng(seed)
+    ev = make_eval(q=q)
+    p = HrfParams(7.0, 1.0)
+    to_images = np.linalg.pinv(ev.bundle(p))  # U b = T for U = T pinv(b), b = [h, d1, d6]
+    n = 3 * q + 4
+    basis = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    r, rest = basis[:, 0], basis[:, 1:]
+    e = rest @ rng.normal(size=(n - 1, q))
+    l1 = rest @ rng.normal(size=(n - 1, q))
+    theta = rng.normal(size=q)
+    c = theta / (theta @ theta)  # sum_a theta_a c_a = 1, so L6 = alpha L1 + s r
+    alpha = rng.normal()
+    big_l1 = l1 @ theta
+    m_exact = e.T @ e - np.outer(e.T @ big_l1, e.T @ big_l1) / (big_l1 @ big_l1)
+    want = phi_from_info(m_exact)
+    # eigenvalue ratio of L'L is about s^2 / (|L1|^2 (1 + alpha^2)^2)
+    s0 = math.sqrt(LL_RANK_ONE_RATIO) * (big_l1 @ big_l1) ** 0.5 * (1.0 + alpha ** 2)
+    ratios = []
+    for s in s0 * np.geomspace(30.0, 1.0 / 30.0, 13):
+        l6 = alpha * l1 + s * np.outer(r, c)
+        u = np.hstack([np.column_stack([e[:, a], l1[:, a], l6[:, a]]) @ to_images
+                       for a in range(q)])
+        big_l = np.column_stack([big_l1, l6 @ theta])
+        lam = np.linalg.eigvalsh(big_l.T @ big_l)
+        ratios.append(lam[0] / lam[1])
+        got = ev._phi_from_gram(u.T @ u, [tuple(theta)], (p,))[0][0, 0]
+        assert got == pytest.approx(want, rel=64 * math.sqrt(np.finfo(float).eps)), \
+            (s, ratios[-1])
+    assert min(ratios) < LL_RANK_ONE_RATIO < max(ratios)
 
 
 def test_stacked_bundles_shared_by_threads():

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmdesign.criteria import make_grid
 from mmdesign.errors import ConfigurationError
 from mmdesign.hrf import (
+    DEFAULT_P2,
+    DEFAULT_P3,
+    DEFAULT_P4,
+    DEFAULT_P5,
     FD_STEP,
+    NORM_SCAN_STEP,
     HrfParams,
+    _norm_info,
     default_hrf_length,
     g_normalized,
     g_raw,
@@ -190,19 +197,75 @@ def test_normalized_curve_bounded(p1, p6):
 
 
 def test_bundle_layout_and_caching():
-    arr = hrf_bundle(6.5, 0.5, 2.0, (0.0,), 17)
-    assert arr.shape == (17, 3)
+    arr = hrf_bundle((6.5,), (0.5,), 2.0, (0.0,), 17)
+    assert arr.shape == (1, 17, 3)
     assert not arr.flags.writeable
     p = HrfParams(6.5, 0.5)
-    np.testing.assert_array_equal(arr[:, 0], sample_hrf(p, 2.0).heights)
-    np.testing.assert_array_equal(arr[:, 1], hrf_partial(p, "p1", 2.0))
-    np.testing.assert_array_equal(arr[:, 2], hrf_partial(p, "p6", 2.0))
-    assert hrf_bundle(6.5, 0.5, 2.0, (0.0,), 17) is arr
+    np.testing.assert_array_equal(arr[0, :, 0], sample_hrf(p, 2.0).heights)
+    np.testing.assert_array_equal(arr[0, :, 1], hrf_partial(p, "p1", 2.0))
+    np.testing.assert_array_equal(arr[0, :, 2], hrf_partial(p, "p6", 2.0))
+    assert hrf_bundle((6.5,), (0.5,), 2.0, (0.0,), 17) is arr
 
 
 def test_bundle_two_offsets_stacks_runs():
-    arr = hrf_bundle(6.0, 0.0, 2.5, (0.0, 1.25), 13)
-    assert arr.shape == (26, 3)
+    arr = hrf_bundle((6.0,), (0.0,), 2.5, (0.0, 1.25), 13)
+    assert arr.shape == (1, 26, 3)
     p = HrfParams(6.0, 0.0)
-    np.testing.assert_array_equal(arr[:13, 0], sample_hrf(p, 2.5).heights)
-    np.testing.assert_array_equal(arr[13:, 0], sample_hrf(p, 2.5, offset=1.25).heights)
+    np.testing.assert_array_equal(arr[0, :13, 0], sample_hrf(p, 2.5).heights)
+    np.testing.assert_array_equal(arr[0, 13:, 0], sample_hrf(p, 2.5, offset=1.25).heights)
+
+
+@pytest.mark.parametrize("preset", ["search", "comparison"])
+@pytest.mark.parametrize("delta, offsets, length", [(2.0, (0.0,), 17), (2.5, (0.0, 1.25), 13)])
+def test_grid_bundle_equals_one_point_bundles(preset, delta, offsets, length):
+    ps = make_grid(1, preset=preset).ps
+    grid = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps), delta, offsets, length)
+    one_point = np.stack([hrf_bundle((p.p1,), (p.p6,), delta, offsets, length)[0] for p in ps])
+    assert grid.shape == (len(ps), len(offsets) * length, 3)
+    assert np.array_equal(grid, one_point)
+
+
+@pytest.mark.parametrize("delta, offsets, length", [(2.0, (0.0,), 17), (2.5, (0.0, 1.25), 13)])
+def test_bundle_equals_per_point_loop(delta, offsets, length):
+    # the vectorized pass keeps the per-point expression order: each curve is
+    # the raw curve over its own normalizing constant, each partial a central
+    # difference of two such curves
+    ps = make_grid(1, preset="comparison").ps[::7]
+    got = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps), delta, offsets, length)
+    for p, bundle in zip(ps, got):
+        cols = []
+        for off in offsets:
+            t = off + np.arange(length) * delta
+
+            def curve(p1, p6):
+                return g_raw(t - p6, HrfParams(p1, 0.0)) / normalizing_max(HrfParams(p1, 0.0))
+
+            cols.append(np.column_stack([
+                curve(p.p1, p.p6),
+                (curve(p.p1 + FD_STEP, p.p6) - curve(p.p1 - FD_STEP, p.p6)) / (2.0 * FD_STEP),
+                (curve(p.p1, p.p6 + FD_STEP) - curve(p.p1, p.p6 - FD_STEP)) / (2.0 * FD_STEP)]))
+        assert np.array_equal(bundle, np.vstack(cols)), p
+
+
+def test_bundle_rejects_bad_points():
+    with pytest.raises(ConfigurationError):
+        hrf_bundle((6.0, 7.0), (0.0,), 2.0, (0.0,), 17)
+    with pytest.raises(ConfigurationError):
+        hrf_bundle((6.0, 1.0), (0.0, 0.0), 2.0, (0.0,), 17)
+    with pytest.raises(ConfigurationError):
+        hrf_bundle((6.0,), (-0.1,), 2.0, (0.0,), 17)
+
+
+def test_norm_info_matches_full_scan():
+    # the windowed scan must return the full 32,001-point scan's (max, first
+    # index); the sweep covers (1, 32] and every grid p1 with its partials'
+    # p1 +- 1e-5
+    grid_p1s = {p.p1 for preset in ("search", "comparison") for p in make_grid(1, preset=preset).ps}
+    sweep = set((1.0 + 0.01 * np.arange(1, 3101)).tolist()) | {1.000001, 1.00001}
+    sweep |= {v + d for v in grid_p1s for d in (-FD_STEP, 0.0, FD_STEP)}
+    p1s = tuple(sorted(sweep))
+    consts, idxs = _norm_info(p1s, DEFAULT_P2, DEFAULT_P3, DEFAULT_P4, DEFAULT_P5)
+    scan = np.arange(32001) * NORM_SCAN_STEP
+    for p1, c, i in zip(p1s, consts, idxs):
+        vals = g_raw(scan, HrfParams(p1, 0.0))
+        assert (c, i) == (vals.max(), np.argmax(vals)), p1
