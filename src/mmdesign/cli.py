@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import io
 import json
 import math
 import os
@@ -125,7 +126,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigurationError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigurationError(f"config {path} is not valid JSON: {e}") from e
@@ -205,12 +206,27 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], grid: ParamGrid, blocks) -> None:
+    """Write a grid CSV: `header`, then for each `(name, columns)` in `blocks`
+    one row per point of `grid` in grid order (direction-major, then p1, then
+    p6): `name` unless None, CSV-quoted if it has a comma, quote or newline;
+    the point's p1, p6, phi_* and theta_*; one cell per array in `columns`,
+    each shaped like `Evaluator.phi_a_grid` values.  Numbers are rendered as
+    `fmt_float` does; point cells once per call, each array in one pass."""
+    p_cells = [f"{fmt_float(p.p1)},{fmt_float(p.p6)}," for p in grid.ps]
+    th_cells = ["".join(f"{fmt_float(x)}," for x in (*theta_to_angles(th), *th))
+                for th in grid.thetas]
+    points = [pc + tc for tc in th_cells for pc in p_cells]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([fmt_float(x) if isinstance(x, float) else x for x in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for name, columns in blocks:
+            buf = io.StringIO()  # the name cell and its comma, as csv.writer quotes them
+            csv.writer(buf, lineterminator="\n").writerow([] if name is None else [name, ""])
+            lead = buf.getvalue()[:-1]
+            cells = [f"{v:.12g}" for v in columns[0].ravel().tolist()]
+            for col in columns[1:]:
+                cells = [f"{c},{v:.12g}" for c, v in zip(cells, col.ravel().tolist())]
+            fh.writelines([f"{lead}{pt}{c}\n" for pt, c in zip(points, cells)])
 
 
 class _RunClock:
@@ -249,17 +265,6 @@ def grid_header(q: int, with_re: bool) -> list[str]:
     return cols
 
 
-def grid_rows(grid: ParamGrid, values: np.ndarray, re_values: np.ndarray | None = None):
-    """One CSV row per grid point, in grid (theta-major) order."""
-    for i, th in enumerate(grid.thetas):
-        angles = theta_to_angles(th)
-        for j, p in enumerate(grid.ps):
-            row = [p.p1, p.p6, *angles, *th, float(values[i, j])]
-            if re_values is not None:
-                row.append(float(re_values[i, j]))
-            yield row
-
-
 def min_result_dict(r: MinResult) -> dict:
     return {"value": r.value, "theta": list(r.theta), "p1": r.p.p1, "p6": r.p.p6}
 
@@ -282,14 +287,14 @@ def _best_index(values: list[float]) -> int:
 def _load_design_checked(path: str, cfg: ExperimentConfig) -> Design:
     try:
         return load_design(path, q_types=cfg.q_types, isi=cfg.isi)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputParseError(f"cannot read design {path}: {e}") from e
 
 
 def _load_table(path: str, cfg: ExperimentConfig) -> LocalOptTable:
     try:
         return LocalOptTable.load(path, q_types=cfg.q_types, isi=cfg.isi)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputParseError(f"cannot read table {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise TableFormatError(f"table {path} is not valid JSON: {e}") from e
@@ -319,8 +324,8 @@ def cmd_evaluate(args) -> int:
         summary["min_re"] = min_result_dict(worst_case(re_values, grid))
     outdir = _ensure_out(cfg)
     write_csv(os.path.join(outdir, "evaluation.csv"),
-              grid_header(d.q_types, with_re=re_values is not None),
-              grid_rows(grid, values, re_values))
+              grid_header(d.q_types, with_re=re_values is not None), grid,
+              [(None, [c for c in (values, re_values) if c is not None])])
     write_json(os.path.join(outdir, "evaluation.json"), summary)
     run.finish(outdir)
     print(f"min phi_a {fmt_float(summary['min_phi_a']['value'])} at "
@@ -495,17 +500,14 @@ def cmd_compare(args) -> int:
     grid = cfg.make_grid("comparison", include_zero=table is not None)
     noise, drift = cfg.noise(), cfg.drift()
     denom = table.denominators(grid) if table is not None else None
-    names = []
-    rows = []
+    blocks = []
     per_design = []
     for path in args.designs:
         d = _load_design_checked(path, cfg)
         name = os.path.splitext(os.path.basename(path))[0]
-        names.append(name)
         values = cfg.evaluator(len(d)).phi_a_grid(d, grid.thetas, grid.ps)
         re_values = values / denom if denom is not None else None
-        for row in grid_rows(grid, values, re_values):
-            rows.append([name, *row])
+        blocks.append((name, [c for c in (values, re_values) if c is not None]))
         entry = {"design": name, "file": path,
                  "min_phi_a": min_result_dict(worst_case(values, grid)),
                  "mean_phi_a": float(values.mean()), "max_phi_a": float(values.max())}
@@ -519,10 +521,11 @@ def cmd_compare(args) -> int:
     ranking = sorted(range(len(per_design)),
                      key=lambda i: -per_design[i][key]["value"])
     summary = {"criterion": key, "designs": per_design,
-               "ranking": [names[i] for i in ranking]}
+               "ranking": [per_design[i]["design"] for i in ranking]}
     outdir = _ensure_out(cfg)
     write_csv(os.path.join(outdir, "comparison.csv"),
-              ["design"] + grid_header(cfg.q_types, with_re=denom is not None), rows)
+              ["design"] + grid_header(cfg.q_types, with_re=denom is not None), grid,
+              blocks)
     write_json(os.path.join(outdir, "comparison.json"), summary)
     run.finish(outdir)
     for i in ranking:
@@ -582,12 +585,8 @@ def cmd_example_miezin(args) -> int:
             best_rand, best_rand_min = (dr, values), v
     competitors["random_best"] = best_rand
 
-    rows = []
-    per_design = {}
-    for name, (d, values) in competitors.items():
-        for row in grid_rows(report_grid, values):
-            rows.append([name, *row])
-        per_design[name] = min_result_dict(worst_case(values, report_grid))
+    per_design = {name: min_result_dict(worst_case(values, report_grid))
+                  for name, (_, values) in competitors.items()}
 
     # robustness: how much of the rho-matched optimum the rho=0.3 design keeps
     robustness = {}
@@ -620,7 +619,8 @@ def cmd_example_miezin(args) -> int:
     for name, (d, _) in competitors.items():
         save_design(d, os.path.join(ddir, f"{name}.txt"))
     write_csv(os.path.join(outdir, "distributions.csv"),
-              ["design"] + grid_header(1, with_re=False), rows)
+              ["design"] + grid_header(1, with_re=False), report_grid,
+              [(name, [values]) for name, (_, values) in competitors.items()])
     write_json(os.path.join(outdir, "summary.json"), summary)
     run.finish(outdir)
     for name in competitors:

@@ -1,18 +1,20 @@
 """Command-line behavior: outputs, determinism, exit codes, overrides."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mmdesign
 
-from mmdesign.cli import ExperimentConfig, main
-from mmdesign.criteria import LocalOptTable, make_grid, min_phi_a, min_re
+from mmdesign.cli import ExperimentConfig, grid_header, main, write_csv
+from mmdesign.criteria import LocalOptTable, make_grid, min_phi_a, min_re, theta_to_angles
 from mmdesign.designs import load_design, random_design
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import DriftSpec, Evaluator, NoiseSpec
@@ -359,6 +361,20 @@ def test_exit_code_mistyped_config(tmp_path, key, value):
     assert repr(key) in result[1]
 
 
+@pytest.mark.parametrize("bad_file, code", [("design", 3), ("table", 3), ("config", 2)])
+def test_exit_code_non_utf8_file(tmp_path, bad_file, code):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe 1 0 1")
+    files = {"design": write_design(tmp_path, [1, 0] * 6),
+             "table": make_tiny_table(tmp_path, write_config(tmp_path)),
+             "config": write_config(tmp_path)}
+    files[bad_file] = str(bad)
+    result = run_cli(["evaluate", files["design"], "--config", files["config"],
+                      "--table", files["table"]])
+    assert_clean_exit(result, code)
+    assert "bad.bin" in result[1]
+
+
 def test_exit_code_no_random_competitors(tmp_path):
     result = run_cli(["example-miezin", "--budget", "20", "--n-random", "0",
                       "--out", str(tmp_path / "out")])
@@ -485,6 +501,65 @@ def test_compare_with_rg_flag(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "comparison.json").read_text())
     assert 0 < summary["designs"][0]["min_rg"] <= 1.0
+
+
+def test_compare_quotes_odd_design_name(tmp_path):
+    cfg = write_config(tmp_path, q_types=2, length=12)
+    odd = write_design(tmp_path, random_design(2, 12, 4.0, seed=11).labels, 'a,b"c.txt')
+    plain = write_design(tmp_path, random_design(2, 12, 4.0, seed=12).labels, "plain.txt")
+    rc, err = run_cli(["compare", odd, plain, "--config", cfg])
+    assert rc == 0, err
+    out = tmp_path / "out"
+    with open(out / "comparison.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    n_points = ExperimentConfig.load(cfg).make_grid("comparison").n_points
+    assert [r["design"] for r in rows] == ['a,b"c'] * n_points + ["plain"] * n_points
+    entries = json.loads((out / "comparison.json").read_text())["designs"]
+    assert [e["design"] for e in entries] == ['a,b"c', "plain"]
+    for e in entries:
+        column = [float(r["phi_a"]) for r in rows if r["design"] == e["design"]]
+        assert min(column) == float(fmt_float(e["min_phi_a"]["value"]))
+
+
+def per_row_csv(header, grid, blocks):
+    """The grid CSV as `csv.writer` writes it row by row, `fmt_float` per
+    float cell: the reference for `write_csv`."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for name, columns in blocks:
+        for i, th in enumerate(grid.thetas):
+            for j, p in enumerate(grid.ps):
+                row = [p.p1, p.p6, *theta_to_angles(th), *th,
+                       *(float(c[i, j]) for c in columns)]
+                w.writerow(([] if name is None else [name])
+                           + [fmt_float(x) if isinstance(x, float) else x for x in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("named", [False, True])
+@pytest.mark.parametrize("with_re", [False, True])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_write_csv_matches_per_row_writer(tmp_path, q, with_re, named):
+    grid = make_grid(q, "search", include_zero=True, p_step=1.5, phi_step=0.5)
+    assert grid.thetas[0] == (0.0,) * q
+    rng = np.random.default_rng(q)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 123456789012.5, 1.0 / 3.0]
+    names = ["plain", "a,b", 'say "hi"', "with space"] if named else [None]
+    blocks = []
+    for k, name in enumerate(names):
+        columns = []
+        for _ in range(2 if with_re else 1):
+            c = rng.standard_normal(grid.n_points) * 10.0 ** rng.integers(-8, 9, grid.n_points)
+            c[k:k + len(special)] = special
+            columns.append(c.reshape(len(grid.thetas), len(grid.ps)))
+        blocks.append((name, columns))
+    header = (["design"] if named else []) + grid_header(q, with_re)
+    path = tmp_path / "grid.csv"
+    write_csv(str(path), header, grid, blocks)
+    # line lists, so that a failure reports the first differing row quickly
+    assert (path.read_bytes().decode("utf-8").splitlines(keepends=True)
+            == per_row_csv(header, grid, blocks).splitlines(keepends=True))
 
 
 def read_csv_column(path, column, design=None):
