@@ -21,11 +21,9 @@ from .errors import (ConfigurationError, GenerationError, InputParseError,
                      MmdesignError, NumericalError, SamplingError,
                      TableFormatError, TableLookupError)
 from .glsmodel import (DriftSpec, Evaluator, NoiseSpec, drift_matrix,
-                       e_matrix, evaluator_for, info_matrix, l_matrix, phi_a,
-                       phi_from_info, projection, two_run_phi_a,
-                       whitening_matrix)
-from .hrf import (HrfParams, default_hrf_length, hrf_partial, peak_time,
-                  sample_hrf)
+                       evaluator_for, info_matrix, phi_a, phi_from_info,
+                       projection, whitening_matrix)
+from .hrf import HrfParams, default_hrf_length, hrf_partial, sample_hrf
 from .search import (GaConfig, SearchResult, build_local_opt_table, ga_search,
                      maximin_objective, mme_objective)
 
@@ -41,10 +39,9 @@ __all__ = [
     "zero_theta",
     "ConfigurationError", "GenerationError", "InputParseError", "MmdesignError",
     "NumericalError", "SamplingError", "TableFormatError", "TableLookupError",
-    "DriftSpec", "Evaluator", "NoiseSpec", "drift_matrix", "e_matrix",
-    "evaluator_for", "info_matrix", "l_matrix", "phi_a", "phi_from_info",
-    "projection", "two_run_phi_a", "whitening_matrix",
-    "HrfParams", "default_hrf_length", "hrf_partial", "peak_time", "sample_hrf",
+    "DriftSpec", "Evaluator", "NoiseSpec", "drift_matrix", "evaluator_for",
+    "info_matrix", "phi_a", "phi_from_info", "projection", "whitening_matrix",
+    "HrfParams", "default_hrf_length", "hrf_partial", "sample_hrf",
     "GaConfig", "SearchResult", "build_local_opt_table", "ga_search",
     "maximin_objective", "mme_objective",
     "__version__",

@@ -19,7 +19,6 @@ import dataclasses
 import datetime
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -40,7 +39,8 @@ from .errors import (ConfigurationError, InputParseError, MmdesignError,
 from .glsmodel import DriftSpec, NoiseSpec, get_evaluator
 from .search import (GaConfig, SearchResult, ga_search, maximin_objective,
                      mme_objective, build_local_opt_table)
-from .util import fmt_float, mean_and_stderr, parallel_map, resolve_threads
+from .util import (fmt_float, is_finite_number, mean_and_stderr, parallel_map,
+                   resolve_threads)
 
 _GA_FIELDS = {"population_size", "max_evaluations", "max_generations",
               "crossover_pairs", "mutation_rate", "immigrant_count"}
@@ -86,11 +86,13 @@ class ExperimentConfig:
     ga: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("isi", "tr"):
+        steps = [n for n in ("p_step", "phi_step") if getattr(self, n) is not None]
+        for name in ("isi", "tr", *steps):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) and v > 0):
+            if not (is_finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name} must be a finite positive number (got {v!r})")
+        if not is_finite_number(self.run_shift):
+            raise ConfigurationError(f"run_shift must be a finite number (got {self.run_shift!r})")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -645,7 +647,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="locally optimal design table (JSON)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--threads", type=int, help="worker threads "
-                   "(default: MMDESIGN_THREADS or hardware parallelism)")
+                   "(default: MMDESIGN_THREADS or 1)")
 
 
 def _add_model_overrides(p: argparse.ArgumentParser) -> None:

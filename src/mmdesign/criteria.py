@@ -23,6 +23,7 @@ from .designs import Design, design_from_text
 from .errors import ConfigurationError, MmdesignError, TableFormatError, TableLookupError
 from .glsmodel import DriftSpec, NoiseSpec, evaluator_for
 from .hrf import HrfParams
+from .util import is_finite_number
 
 P1_RANGE = (6.0, 9.0)
 P6_RANGE = (0.0, 2.0)
@@ -102,10 +103,14 @@ def canonical_direction(theta, digits: int = _KEY_DIGITS) -> tuple[float, ...]:
     return tuple(float(round(x, digits)) + 0.0 for x in u)
 
 
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigurationError(f"grid step must be finite and positive (got {step})")
+
+
 def _axis(start: float, stop: float, step: float) -> list[float]:
     """start, start+step, ... capped at stop; stop always included."""
-    if step <= 0:
-        raise ConfigurationError(f"grid step must be positive (got {step})")
+    _check_step(step)
     vals = []
     k = 0
     while True:
@@ -143,6 +148,7 @@ def _centered_offsets(bound: float, step: float) -> list[float]:
 def full_theta_grid(q: int, phi_step: float) -> tuple[tuple[float, ...], ...]:
     """Hemisphere grid: each angle ranges over (-pi/2, pi/2], anchored so
     pi/2 is on the grid; duplicate directions are removed."""
+    _check_step(phi_step)
     if q < 1:
         raise ConfigurationError(f"q must be >= 1 (got {q})")
     if q == 1:
@@ -174,6 +180,7 @@ def theta0_grid(q: int, phi_step: float) -> tuple[tuple[float, ...], ...]:
     and b from max(kappa(a), 0) to pi/4, where cos kappa = cot a once a exceeds
     pi/4.  Points sit at half-step offsets, region endpoints always included.
     """
+    _check_step(phi_step)
     if q == 1:
         return ((1.0,),)
     if q == 2:
@@ -448,10 +455,6 @@ class LocalOptTable:
         return table
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _row_problem(row, q_types: int) -> str | None:
     """What is wrong with the keys and types of one saved table row, if anything."""
     if not isinstance(row, dict):
@@ -460,11 +463,12 @@ def _row_problem(row, q_types: int) -> str | None:
     if missing:
         return f"missing key {missing[0]!r}"
     theta, p = row["theta"], row["p"]
-    if not (isinstance(theta, list) and len(theta) == q_types and all(map(_is_number, theta))):
+    if not (isinstance(theta, list) and len(theta) == q_types
+            and all(map(is_finite_number, theta))):
         return f"'theta' must be a list of {q_types} finite numbers"
-    if not (isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))):
+    if not (isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))):
         return "'p' must be a list of 2 finite numbers"
-    if not _is_number(row["phi_a"]):
+    if not is_finite_number(row["phi_a"]):
         return "'phi_a' must be a finite number"
     if not isinstance(row["design"], str):
         return "'design' must be a string of labels"

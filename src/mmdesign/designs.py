@@ -2,8 +2,9 @@
 
 A design is a length-L sequence of labels in {0..Q}: label 0 is a rest slot,
 labels 1..Q are the stimulus types, presented every ISI seconds.  The design
-matrix for type q marks, for each scan, which sampled HRF height of each past
-type-q onset contributes to that scan.
+matrix is a tuple of per-type blocks: the block for type q marks, for each
+scan, which sampled HRF height of each past type-q onset contributes to that
+scan.
 """
 
 from __future__ import annotations
@@ -139,43 +140,23 @@ def delta_t(isi: float, tr: float) -> float:
     return delta
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Per-type zero-one convolution matrices sampled at scan times."""
-
-    blocks: tuple[np.ndarray, ...]  # one (T, K) block per stimulus type 1..Q
-    n_scans: int
-    hrf_length: int
-    delta: float
-    tr: float
-    isi: float
-    q_types: int
-
-
-def design_matrix(d: Design, tr: float, hrf_length: int | None = None,
-                  subsample: bool = True) -> DesignMatrix:
-    """Build the scan-by-height matrices X_{d,q}.
+def design_matrix(d: Design, tr: float) -> tuple[np.ndarray, ...]:
+    """The scan-by-height matrices X_{d,q}, one (T, K) block per stimulus
+    type 1..Q, with K = default_hrf_length(delta).
 
     Entry [t, k] is one when some type-q onset occurred exactly k height-grid
-    steps before the t-th row time; rows are scan times 0, TR, ..., (T-1)*TR
-    (or every height-grid step when ``subsample`` is false).  Contributions
-    past the end of the experiment are discarded with the final scans.
+    steps before scan time t*TR.  Contributions past the end of the experiment
+    are discarded with the final scans.
     """
     delta = delta_t(d.isi, tr)
-    if hrf_length is None:
-        hrf_length = default_hrf_length(delta)
     risi = int(round(d.isi / delta))
     rtr = int(round(tr / delta))
     n_slots = len(d) * risi
-    if (len(d) * risi) % rtr != 0:
+    if n_slots % rtr != 0:
         raise ConfigurationError(
             f"L*isi must be a whole number of scans (L={len(d)}, isi={d.isi}, tr={tr})")
-    n_scans = (len(d) * risi) // rtr
-    if subsample:
-        rows = np.arange(n_scans) * rtr
-    else:
-        rows = np.arange(n_slots)
-    k = np.arange(hrf_length)
+    rows = np.arange(n_slots // rtr) * rtr
+    k = np.arange(default_hrf_length(delta))
     idx = rows[:, None] - k[None, :]
     valid = idx >= 0
     idx = np.where(valid, idx, 0)
@@ -185,9 +166,7 @@ def design_matrix(d: Design, tr: float, hrf_length: int | None = None,
         u = np.zeros(n_slots)
         u[np.nonzero(labels == q)[0] * risi] = 1.0
         blocks.append(np.where(valid, u[idx], 0.0))
-    return DesignMatrix(blocks=tuple(blocks), n_scans=rows.shape[0],
-                        hrf_length=hrf_length, delta=delta, tr=tr,
-                        isi=d.isi, q_types=d.q_types)
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ the two free HRF parameters as a nuisance direction that gets projected out:
     M = E' (I - w{L}) E,   E = [I - w{VS}] V X (I_Q kron h),
     L_i = [I - w{VS}] V X (I_Q kron dh_i) theta',  i in {p1, p6},
 
-with w{A} = A (A'A)^- A'.  The A-criterion value is 1/trace(M^{-1}), zero
-when M is singular or near-singular.
+with w{A} = A (A'A)^- A'.  X = [X_1 ... X_Q] joins the per-type blocks that
+`designs.design_matrix` returns; h and dh_i are the sampled heights and
+partials of the one fixed-shape HRF (`hrf.hrf_bundle`), so p1 and p6 are the
+only curve parameters.  The A-criterion value is 1/trace(M^{-1}), zero when
+M is singular or near-singular.
 
 The evaluator reduces each design to a Gram matrix Y of its residualized
 columns.  Residualizing never forms an n x n operator: V is lower-bidiagonal,
@@ -156,8 +159,9 @@ class Evaluator:
 
     def __init__(self, q_types: int, n_slots: int, isi: float, tr: float,
                  noise: NoiseSpec, drift: DriftSpec,
-                 run_shift: float = DEFAULT_RUN_SHIFT,
-                 hrf_length: int | None = None) -> None:
+                 run_shift: float = DEFAULT_RUN_SHIFT) -> None:
+        if not math.isfinite(run_shift):
+            raise ConfigurationError(f"run_shift must be finite (got {run_shift})")
         self.q_types = q_types
         self.n_slots = n_slots
         self.isi = isi
@@ -166,7 +170,7 @@ class Evaluator:
         self.drift = drift
         self.run_shift = run_shift
         self.delta = delta_t(isi, tr)
-        self.hrf_length = hrf_length if hrf_length is not None else default_hrf_length(self.delta)
+        self.hrf_length = default_hrf_length(self.delta)
         self.offsets = (0.0,) if noise.runs == 1 else (0.0, run_shift)
         risi = int(round(isi / self.delta))
         rtr = int(round(tr / self.delta))
@@ -214,10 +218,10 @@ class Evaluator:
     def type_blocks(self, d: Design) -> list[np.ndarray]:
         """Per-type design-matrix blocks, stacked block-diagonally over runs."""
         self._check(d)
-        dm = design_matrix(d, self.tr, hrf_length=self.hrf_length)
+        blocks = design_matrix(d, self.tr)
         if self.noise.runs == 1:
-            return list(dm.blocks)
-        return [_block_diag(x, x) for x in dm.blocks]
+            return list(blocks)
+        return [_block_diag(x, x) for x in blocks]
 
     def residualized(self, d: Design) -> np.ndarray:
         """Whitened, drift-residualized design columns (n_scans x Q*width)."""
@@ -384,31 +388,17 @@ def phi_from_info(m: np.ndarray) -> float:
 @lru_cache(maxsize=16)
 def get_evaluator(q_types: int, n_slots: int, isi: float, tr: float,
                   noise: NoiseSpec, drift: DriftSpec,
-                  run_shift: float = DEFAULT_RUN_SHIFT,
-                  hrf_length: int | None = None) -> Evaluator:
+                  run_shift: float = DEFAULT_RUN_SHIFT) -> Evaluator:
     """Shared evaluator cache keyed by the full configuration."""
-    return Evaluator(q_types, n_slots, isi, tr, noise, drift,
-                     run_shift=run_shift, hrf_length=hrf_length)
+    return Evaluator(q_types, n_slots, isi, tr, noise, drift, run_shift=run_shift)
 
 
 def evaluator_for(d: Design, tr: float, noise: NoiseSpec, drift: DriftSpec,
-                  run_shift: float = DEFAULT_RUN_SHIFT,
-                  hrf_length: int | None = None) -> Evaluator:
-    return get_evaluator(d.q_types, len(d), d.isi, tr, noise, drift,
-                         run_shift=run_shift, hrf_length=hrf_length)
+                  run_shift: float = DEFAULT_RUN_SHIFT) -> Evaluator:
+    return get_evaluator(d.q_types, len(d), d.isi, tr, noise, drift, run_shift=run_shift)
 
 
 # -- single-point contract functions ----------------------------------------
-
-def e_matrix(d: Design, p: HrfParams, noise: NoiseSpec, drift: DriftSpec,
-             tr: float, run_shift: float = DEFAULT_RUN_SHIFT) -> np.ndarray:
-    return evaluator_for(d, tr, noise, drift, run_shift).e_matrix(d, p)
-
-
-def l_matrix(d: Design, theta, p: HrfParams, noise: NoiseSpec, drift: DriftSpec,
-             tr: float, run_shift: float = DEFAULT_RUN_SHIFT) -> np.ndarray:
-    return evaluator_for(d, tr, noise, drift, run_shift).l_matrix(d, theta, p)
-
 
 def info_matrix(d: Design, theta, p: HrfParams, noise: NoiseSpec, drift: DriftSpec,
                 tr: float, run_shift: float = DEFAULT_RUN_SHIFT) -> InfoMatrix:
@@ -419,12 +409,3 @@ def info_matrix(d: Design, theta, p: HrfParams, noise: NoiseSpec, drift: DriftSp
 def phi_a(d: Design, theta, p: HrfParams, noise: NoiseSpec, drift: DriftSpec,
           tr: float, run_shift: float = DEFAULT_RUN_SHIFT) -> float:
     return evaluator_for(d, tr, noise, drift, run_shift).phi_a(d, theta, p)
-
-
-def two_run_phi_a(d: Design, theta, p: HrfParams, noise: NoiseSpec, drift: DriftSpec,
-                  tr: float, shift: float = DEFAULT_RUN_SHIFT) -> float:
-    """A-criterion for the same design presented in two runs, the second with
-    onsets offset by `shift` seconds relative to the scans."""
-    if noise.runs != 2:
-        raise ConfigurationError("two_run_phi_a needs NoiseSpec(runs=2)")
-    return phi_a(d, theta, p, noise, drift, tr, run_shift=shift)

@@ -1,11 +1,10 @@
 """Parametric double-gamma hemodynamic response function (HRF).
 
 The curve is a difference of two gamma densities, normalized so its running
-maximum over [0, 32] seconds equals one.  Two parameters are treated as
-unknown: the time-to-peak ``p1`` of the positive lobe and the onset delay
-``p6``; the remaining shape constants default to the conventional values
-(16, 1, 1, 1/6) for the undershoot delay, the two dispersions, and the
-undershoot weight.
+maximum over [0, 32] seconds equals one.  Two parameters are free: the
+time-to-peak ``p1`` of the positive lobe and the onset delay ``p6``.  The
+rest of the shape is fixed by the module constants P2-P5: undershoot delay
+16, both dispersions 1 and undershoot weight 1/6.
 
 The normalizing constant is the exact maximum over the canonical 0.001 s
 scan of [0, 32] s, found by a windowed scan (see ``_norm_info``).  Sampled
@@ -35,17 +34,16 @@ FD_STEP = 1e-5  # central finite-difference step for parameter partials
 # once raised a search's peak resident memory by about 4%.
 BUNDLE_CHUNK = 64
 
-# Shape constants: undershoot peak, dispersions of both lobes, undershoot weight.
-DEFAULT_P2 = 16.0
-DEFAULT_P3 = 1.0
-DEFAULT_P4 = 1.0
-DEFAULT_P5 = 1.0 / 6.0
-DEFAULT_SHAPE = (DEFAULT_P2, DEFAULT_P3, DEFAULT_P4, DEFAULT_P5)
+# Fixed shape: undershoot peak, dispersions of both lobes, undershoot weight.
+P2 = 16.0
+P3 = 1.0
+P4 = 1.0
+P5 = 1.0 / 6.0
 
 
 @dataclass(frozen=True)
 class HrfParams:
-    """Free parameters (p1 time-to-peak, p6 onset delay) plus shape constants.
+    """The free parameters: p1 time-to-peak, p6 onset delay.
 
     Any p1 > 1 with p6 >= 0 is evaluable; the case-study region is
     p1 in [6, 9], p6 in [0, 2].
@@ -53,35 +51,12 @@ class HrfParams:
 
     p1: float
     p6: float
-    p2: float = DEFAULT_P2
-    p3: float = DEFAULT_P3
-    p4: float = DEFAULT_P4
-    p5: float = DEFAULT_P5
 
     def __post_init__(self) -> None:
         if not self.p1 > 1.0:
             raise ConfigurationError(f"p1 must be > 1 (got {self.p1})")
         if self.p6 < 0.0:
             raise ConfigurationError(f"p6 must be >= 0 (got {self.p6})")
-        if min(self.p2, self.p3, self.p4) <= 0.0:
-            raise ConfigurationError("shape constants p2, p3, p4 must be positive")
-
-
-@dataclass(frozen=True)
-class HrfVector:
-    """HRF heights sampled at offset + j*delta_t, j = 0..len-1."""
-
-    heights: np.ndarray
-    delta_t: float
-    offset: float
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.heights, dtype=float)
-        h.setflags(write=False)
-        object.__setattr__(self, "heights", h)
-
-    def __len__(self) -> int:
-        return self.heights.shape[0]
 
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
@@ -111,23 +86,21 @@ def gamma_pdf(x, alpha, beta: float):
 
 def g_raw(t, p: HrfParams):
     """Unnormalized double-gamma curve at time(s) t."""
-    return _g_raw_floats(t, p.p1, p.p6, p.p2, p.p3, p.p4, p.p5)
+    return _g_raw_floats(t, p.p1, p.p6)
 
 
-def _g_raw_floats(t, p1, p6, p2, p3, p4, p5):
+def _g_raw_floats(t, p1, p6):
     """g_raw from floats; p1 and p6 may be arrays that broadcast against t."""
     x = np.asarray(t, dtype=float) - p6
-    vals = gamma_pdf(x, p1 / p3, p3) - p5 * gamma_pdf(x, p2 / p4, p4)
+    vals = gamma_pdf(x, p1 / P3, P3) - P5 * gamma_pdf(x, P2 / P4, P4)
     if np.ndim(vals) == 0:
         return float(vals)
     return vals
 
 
 @lru_cache(maxsize=4096)
-def _norm_info(p1s: tuple[float, ...], p2: float, p3: float, p4: float,
-               p5: float) -> tuple[np.ndarray, np.ndarray]:
-    """(normalizing max, its first index on the canonical scan) of the p6 = 0
-    curve at each p1 in `p1s`, as two arrays.
+def _norm_info(p1s: tuple[float, ...]) -> np.ndarray:
+    """Normalizing max of the p6 = 0 curve at each p1 in `p1s`.
 
     The max over s of the curve does not depend on p6 (pure time shift with
     the peak interior to the scan window), so the constant is computed once on
@@ -146,7 +119,7 @@ def _norm_info(p1s: tuple[float, ...], p2: float, p3: float, p4: float,
     last = int(round(HRF_WINDOW / NORM_SCAN_STEP))
     p1 = np.array(p1s, dtype=float)[:, None]
     coarse_idx = np.arange(0, last + 1, NORM_COARSE_STRIDE)
-    coarse = _g_raw_floats(coarse_idx * NORM_SCAN_STEP, p1, 0.0, p2, p3, p4, p5)
+    coarse = _g_raw_floats(coarse_idx * NORM_SCAN_STEP, p1, 0.0)
     edge = np.full((len(p1s), 1), -np.inf)
     padded = np.hstack([edge, coarse, edge])
     kept = (coarse >= padded[:, :-2]) & (coarse >= padded[:, 2:])
@@ -157,51 +130,17 @@ def _norm_info(p1s: tuple[float, ...], p2: float, p3: float, p4: float,
     ks = np.where(np.arange(width) < n_kept[:, None], order, order[:, :1])
     window = np.arange(-NORM_COARSE_STRIDE, NORM_COARSE_STRIDE + 1)
     near = np.clip(coarse_idx[ks][:, :, None] + window, 0, last).reshape(len(p1s), -1)
-    vals = _g_raw_floats(near * NORM_SCAN_STEP, p1, 0.0, p2, p3, p4, p5)
+    vals = _g_raw_floats(near * NORM_SCAN_STEP, p1, 0.0)
     c = vals.max(axis=1)
     if not np.all(c > 0.0):
         raise NumericalError(f"HRF normalization failed: nonpositive max for p1 in {p1s}")
-    idx = np.where(vals == c[:, None], near, last + 1).min(axis=1)
     c.setflags(write=False)
-    idx.setflags(write=False)
-    return c, idx
-
-
-def _golden_argmax(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section maximizer of a unimodal scalar function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    return c
 
 
 def normalizing_max(p: HrfParams) -> float:
     """Denominator used by g_normalized (independent of p6)."""
-    return float(_norm_info((p.p1,), p.p2, p.p3, p.p4, p.p5)[0][0])
-
-
-def peak_time(p: HrfParams) -> float:
-    """Time at which the normalized curve peaks (includes the p6 shift):
-    golden-section refinement between the canonical scan's neighbours of its
-    maximum.  Only this needs the refinement, so normalizing does not pay
-    for it."""
-    idx = int(_norm_info((p.p1,), p.p2, p.p3, p.p4, p.p5)[1][0])
-    last = int(round(HRF_WINDOW / NORM_SCAN_STEP))
-    lo = max(idx - 1, 0) * NORM_SCAN_STEP
-    hi = min(idx + 1, last) * NORM_SCAN_STEP
-    t_peak = _golden_argmax(lambda s: _g_raw_floats(s, p.p1, 0.0, p.p2, p.p3, p.p4, p.p5), lo, hi)
-    return t_peak + p.p6
+    return float(_norm_info((p.p1,))[0])
 
 
 def g_normalized(t, p: HrfParams):
@@ -216,14 +155,15 @@ def default_hrf_length(delta_t: float) -> int:
     return 1 + int(math.floor(HRF_WINDOW / delta_t + 1e-9))
 
 
-def sample_hrf(p: HrfParams, delta_t: float, offset: float = 0.0, length: int | None = None) -> HrfVector:
-    """Sample the normalized curve at offset + j*delta_t, j = 0..length-1."""
+def sample_hrf(p: HrfParams, delta_t: float, offset: float = 0.0,
+               length: int | None = None) -> np.ndarray:
+    """Read-only heights of the normalized curve at offset + j*delta_t,
+    j = 0..length-1."""
     if length is None:
         length = default_hrf_length(delta_t)
     if length < 1:
         raise ConfigurationError(f"length must be >= 1 (got {length})")
-    heights = hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length, _shape(p))[0, :, 0]
-    return HrfVector(heights=heights, delta_t=delta_t, offset=offset)
+    return hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length)[0, :, 0]
 
 
 def hrf_partial(p: HrfParams, which: str, delta_t: float, offset: float = 0.0,
@@ -240,19 +180,14 @@ def hrf_partial(p: HrfParams, which: str, delta_t: float, offset: float = 0.0,
     if length is None:
         length = default_hrf_length(delta_t)
     col = 1 if which == "p1" else 2
-    return np.array(hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length, _shape(p))[0, :, col])
-
-
-def _shape(p: HrfParams) -> tuple[float, float, float, float]:
-    return (p.p2, p.p3, p.p4, p.p5)
+    return np.array(hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length)[0, :, col])
 
 
 @lru_cache(maxsize=65536)
 def hrf_bundle(p1s: tuple[float, ...], p6s: tuple[float, ...], delta_t: float,
-               offsets: tuple[float, ...], length: int,
-               shape: tuple[float, float, float, float] = DEFAULT_SHAPE) -> np.ndarray:
+               offsets: tuple[float, ...], length: int) -> np.ndarray:
     """(n_p, len(offsets)*length, 3) array of [heights, d/dp1, d/dp6] at the
-    points (p1s[i], p6s[i]) with shape constants (p2, p3, p4, p5).
+    points (p1s[i], p6s[i]).
 
     One sampling run per offset, concatenated; all offsets of a point share
     its normalizing denominator.  The five curves each point needs (itself,
@@ -270,7 +205,6 @@ def hrf_bundle(p1s: tuple[float, ...], p6s: tuple[float, ...], delta_t: float,
         raise ConfigurationError(f"p1 must be > 1 (got {p1[~(p1 > 1.0)][0]})")
     if np.any(p6 < 0.0):
         raise ConfigurationError(f"p6 must be >= 0 (got {p6[p6 < 0.0][0]})")
-    p2, p3, p4, p5 = shape
     eps = FD_STEP
     t = np.concatenate([off + np.arange(length) * delta_t for off in offsets])
     out = np.empty((len(p1), len(t), 3))
@@ -281,8 +215,8 @@ def hrf_bundle(p1s: tuple[float, ...], p6s: tuple[float, ...], delta_t: float,
         c1 = np.stack([a, a + eps, a - eps, a, a], axis=1)
         c6 = np.stack([b, b, b, b + eps, b - eps], axis=1)
         distinct = tuple(sorted(set(c1.ravel().tolist())))
-        norm = _norm_info(distinct, p2, p3, p4, p5)[0][np.searchsorted(distinct, c1)]
-        curves = _g_raw_floats(t, c1[..., None], c6[..., None], p2, p3, p4, p5) / norm[..., None]
+        norm = _norm_info(distinct)[np.searchsorted(distinct, c1)]
+        curves = _g_raw_floats(t, c1[..., None], c6[..., None]) / norm[..., None]
         out[rows, :, 0] = curves[:, 0]
         out[rows, :, 1] = (curves[:, 1] - curves[:, 2]) / (2.0 * eps)
         out[rows, :, 2] = (curves[:, 3] - curves[:, 4]) / (2.0 * eps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
@@ -12,8 +13,8 @@ THREADS_ENV_VAR = "MMDESIGN_THREADS"
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """Worker-pool size: explicit argument, else MMDESIGN_THREADS, else the
-    available hardware parallelism."""
+    """Worker-pool size: explicit argument, else MMDESIGN_THREADS, else one
+    worker (more threads have measured slower than one)."""
     if requested is not None:
         if requested < 1:
             raise ConfigurationError(f"thread count must be >= 1 (got {requested})")
@@ -28,7 +29,7 @@ def resolve_threads(requested: int | None = None) -> int:
         if n < 1:
             raise ConfigurationError(f"{THREADS_ENV_VAR} must be >= 1 (got {n})")
         return n
-    return os.cpu_count() or 1
+    return 1
 
 
 def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
@@ -42,6 +43,11 @@ def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def is_finite_number(x) -> bool:
+    """True for a finite int or float; False for a bool or anything else."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def fmt_float(x: float) -> str:

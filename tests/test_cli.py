@@ -86,7 +86,7 @@ def test_resolve_threads(monkeypatch):
     with pytest.raises(ConfigurationError):
         resolve_threads()
     monkeypatch.delenv("MMDESIGN_THREADS")
-    assert resolve_threads() >= 1
+    assert resolve_threads() == 1
     with pytest.raises(ConfigurationError):
         resolve_threads(0)
 
@@ -318,6 +318,22 @@ def test_exit_code_infinite_tr(tmp_path):
     cfg = write_config(tmp_path)
     design = write_design(tmp_path, [1, 0] * 6)
     assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--tr", "inf"]), 2)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "search-maximin"])
+@pytest.mark.parametrize("key, value", [("phi_step", 0), ("phi_step", -0.1),
+                                        ("phi_step", math.nan), ("p_step", math.nan),
+                                        ("p_step", math.inf), ("run_shift", math.nan),
+                                        ("run_shift", math.inf)])
+def test_exit_code_bad_grid_step_or_run_shift(tmp_path, command, key, value):
+    # a step that is not finite and positive makes an endless grid axis, and a
+    # NaN run shift zeroes the second run; json writes NaN/Infinity literals
+    cfg = write_config(tmp_path, q_types=2, runs=2, isi=2.5, tr=2.5, **{key: value})
+    design = write_design(tmp_path, [1, 2, 0] * 4)
+    args = ["evaluate", design] if command == "evaluate" else [command]
+    result = run_cli([*args, "--config", cfg])
+    assert_clean_exit(result, 2)
+    assert key in result[1]
 
 
 @pytest.mark.parametrize("fault", ["missing_key", "wrong_type"])

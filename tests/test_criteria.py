@@ -154,6 +154,16 @@ def test_make_grid_presets_and_sizes():
         make_grid(1, "search", region="upper")
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("region", ["theta0", "full"])
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_make_grid_rejects_bad_steps(q, region, bad):
+    # a zero, negative or NaN step would otherwise build an endless axis
+    for steps in ({"p_step": bad}, {"phi_step": bad}):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            make_grid(q, "search", region=region, **steps)
+
+
 def test_param_grid_order_and_with_zero():
     grid = make_grid(2, "search")
     pts = list(grid.points())

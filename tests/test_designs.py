@@ -275,10 +275,8 @@ def test_design_matrix_single_onset():
     # scan t sees the onset k = t - 2 steps back
     labels = tuple(1 if i == 1 else 0 for i in range(9))
     d = Design(labels=labels, q_types=1, isi=4.0)
-    dm = design_matrix(d, tr=2.0)
-    x = dm.blocks[0]
+    (x,) = design_matrix(d, tr=2.0)
     assert x.shape == (18, 17)
-    assert dm.n_scans == 18 and dm.delta == 2.0
     want = np.zeros((18, 17))
     for t in range(18):
         k = t - 2
@@ -289,50 +287,53 @@ def test_design_matrix_single_onset():
 
 def test_design_matrix_all_rest_is_zero():
     d = Design(labels=(0,) * 8, q_types=2, isi=4.0)
-    dm = design_matrix(d, tr=2.0)
-    for b in dm.blocks:
+    blocks = design_matrix(d, tr=2.0)
+    assert len(blocks) == 2
+    for b in blocks:
         assert not np.any(b)
 
 
 def test_design_matrix_row_sums_count_contributing_onsets():
     d = random_design(1, 24, 4.0, seed=2)
-    dm = design_matrix(d, tr=2.0)
-    x = dm.blocks[0]
+    (x,) = design_matrix(d, tr=2.0)
     onsets = [i * 2 for i, lab in enumerate(d.labels) if lab == 1]
-    for t in range(dm.n_scans):
+    for t in range(x.shape[0]):
         expect = sum(1 for o in onsets if 0 <= t - o < 17)
         assert x[t].sum() == expect
 
 
 def test_design_matrix_column_recovers_onsets():
     # column k of X_q is the type-q onset indicator delayed by k grid steps
+    # (isi 4 / tr 2: one scan per grid step)
     d = random_design(2, 30, 4.0, seed=3)
-    dm = design_matrix(d, tr=2.0, subsample=False)
+    blocks = design_matrix(d, tr=2.0)
     for q in (1, 2):
-        col0 = dm.blocks[q - 1][:, 0]
+        col0 = blocks[q - 1][:, 0]
         onsets = np.zeros(60)
         onsets[[i * 2 for i, lab in enumerate(d.labels) if lab == q]] = 1.0
         np.testing.assert_array_equal(col0, onsets)
-        col3 = dm.blocks[q - 1][:, 3]
+        col3 = blocks[q - 1][:, 3]
         np.testing.assert_array_equal(col3[3:], onsets[:-3])
         assert not np.any(col3[:3])
 
 
 def test_design_matrix_subsampling_picks_scan_rows():
-    # isi 2 / tr 4: scans every second height-grid step
+    # isi 2 / tr 4: scans every second height-grid step, so scan t sees the
+    # onset indicator (one grid step per slot) k steps before grid step 2t
     d = random_design(1, 24, 2.0, seed=4)
-    fine = design_matrix(d, tr=4.0, subsample=False).blocks[0]
-    coarse = design_matrix(d, tr=4.0).blocks[0]
+    (coarse,) = design_matrix(d, tr=4.0)
+    u = np.array(d.labels, dtype=float)
+    fine = np.array([[u[s - k] if s >= k else 0.0 for k in range(17)] for s in range(24)])
     np.testing.assert_array_equal(coarse, fine[::2])
 
 
 def test_design_matrix_relabel_permutes_blocks():
     d = random_design(2, 20, 4.0, seed=5)
     swapped = relabel(d, (2, 1))
-    dm = design_matrix(d, tr=2.0)
-    dm2 = design_matrix(swapped, tr=2.0)
-    np.testing.assert_array_equal(dm.blocks[0], dm2.blocks[1])
-    np.testing.assert_array_equal(dm.blocks[1], dm2.blocks[0])
+    blocks = design_matrix(d, tr=2.0)
+    swapped_blocks = design_matrix(swapped, tr=2.0)
+    np.testing.assert_array_equal(blocks[0], swapped_blocks[1])
+    np.testing.assert_array_equal(blocks[1], swapped_blocks[0])
 
 
 def test_design_matrix_rejects_partial_scan():
@@ -344,7 +345,8 @@ def test_design_matrix_rejects_partial_scan():
 def test_design_matrix_matches_reference():
     from reference import ref_design_blocks
     d = random_design(3, 16, 3.0, seed=6)
-    dm = design_matrix(d, tr=2.0)
-    ref = ref_design_blocks(list(d.labels), 3, 3.0, 2.0, dm.hrf_length)
-    for got, want in zip(dm.blocks, ref):
+    blocks = design_matrix(d, tr=2.0)
+    ref = ref_design_blocks(list(d.labels), 3, 3.0, 2.0, 33)  # delta 1 s: 33 heights
+    assert len(blocks) == 3
+    for got, want in zip(blocks, ref):
         np.testing.assert_array_equal(got, want)

@@ -19,13 +19,11 @@ from mmdesign.glsmodel import (
     Evaluator,
     NoiseSpec,
     drift_matrix,
-    e_matrix,
+    evaluator_for,
     info_matrix,
-    l_matrix,
     phi_a,
     phi_from_info,
     projection,
-    two_run_phi_a,
     whitening_matrix,
 )
 from mmdesign.hrf import HrfParams, g_normalized
@@ -143,6 +141,14 @@ def test_projection_idempotent_symmetric(seed):
 
 
 # -- E matrix -----------------------------------------------------------------
+
+def e_matrix(d, p, noise, drift, tr):
+    return evaluator_for(d, tr, noise, drift).e_matrix(d, p)
+
+
+def l_matrix(d, theta, p, noise, drift, tr):
+    return evaluator_for(d, tr, noise, drift).l_matrix(d, theta, p)
+
 
 def test_e_matrix_hand_case_single_onset():
     # one onset at slot 0, white noise, constant drift: the single column is
@@ -481,27 +487,28 @@ def test_gram_is_symmetric_psd():
 
 # -- two-run variant -----------------------------------------------------------
 
-def test_two_run_requires_two_run_noise():
-    d = random_design(1, 12, 2.5, seed=22)
-    with pytest.raises(ConfigurationError):
-        two_run_phi_a(d, (1.0,), HrfParams(6.0, 0.0), NoiseSpec(rho=0.3), DriftSpec(),
-                      tr=2.5)
-
-
 def test_two_identical_runs_with_zero_shift_double_the_information():
     p = HrfParams(6.6, 0.7)
     for q, theta in ((1, (1.0,)), (2, (0.6, -0.8))):
         d = random_design(q, 12, 2.5, seed=23 + q)
         single = phi_a(d, theta, p, NoiseSpec(rho=0.3), DriftSpec(order=2), tr=2.5)
-        double = two_run_phi_a(d, theta, p, NoiseSpec(rho=0.3, runs=2),
-                               DriftSpec(order=2), tr=2.5, shift=0.0)
+        double = phi_a(d, theta, p, NoiseSpec(rho=0.3, runs=2), DriftSpec(order=2),
+                       tr=2.5, run_shift=0.0)
         assert double == pytest.approx(2.0 * single, rel=1e-10)
 
 
 def test_two_run_matches_reference():
     d = random_design(1, 12, 2.5, seed=25)
-    got = two_run_phi_a(d, (1.0,), HrfParams(7.0, 1.25), NoiseSpec(rho=0.3, runs=2),
-                        DriftSpec(order=2), tr=2.5, shift=1.25)
+    got = phi_a(d, (1.0,), HrfParams(7.0, 1.25), NoiseSpec(rho=0.3, runs=2),
+                DriftSpec(order=2), tr=2.5, run_shift=1.25)
     want = ref_phi_a(list(d.labels), 1, 2.5, 2.5, 0.3, 2, (1.0,), 7.0, 1.25,
                      runs=2, shift=1.25)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf])
+def test_evaluator_rejects_non_finite_run_shift(shift):
+    # a NaN shift would zero every second-run height (NaN > 0 is false)
+    with pytest.raises(ConfigurationError, match="run_shift"):
+        Evaluator(q_types=1, n_slots=12, isi=2.5, tr=2.5, noise=NoiseSpec(runs=2),
+                  drift=DriftSpec(), run_shift=shift)

@@ -10,10 +10,6 @@ from hypothesis import strategies as st
 from mmdesign.criteria import make_grid
 from mmdesign.errors import ConfigurationError
 from mmdesign.hrf import (
-    DEFAULT_P2,
-    DEFAULT_P3,
-    DEFAULT_P4,
-    DEFAULT_P5,
     FD_STEP,
     NORM_SCAN_STEP,
     HrfParams,
@@ -25,7 +21,6 @@ from mmdesign.hrf import (
     hrf_bundle,
     hrf_partial,
     normalizing_max,
-    peak_time,
     sample_hrf,
 )
 
@@ -87,18 +82,21 @@ def test_params_validation():
         HrfParams(1.0, 0.0)
     with pytest.raises(ConfigurationError):
         HrfParams(6.0, -0.1)
-    with pytest.raises(ConfigurationError):
-        HrfParams(6.0, 0.0, p3=0.0)
+    with pytest.raises(TypeError):  # the shape beyond p1 and p6 is fixed
+        HrfParams(6.0, 0.0, p2=10.0)
 
 
 def test_normalized_max_is_one_on_scan_grid():
     # the normalizing constant is the exact max over the 0.001 s scan, so the
     # normalized curve attains 1 on that grid when p6 = 0
     grid = np.arange(32001) / 1000.0
+    scan = np.arange(32001) * NORM_SCAN_STEP
     for p1 in (6.0, 7.3, 9.0):
         vals = g_normalized(grid, HrfParams(p1, 0.0))
         assert np.max(vals) == pytest.approx(1.0, abs=1e-15)
         assert np.max(vals) <= 1.0
+        # on the canonical scan's own sample times the peak is exactly one
+        assert np.max(g_normalized(scan, HrfParams(p1, 0.0))) == 1.0
 
 
 def test_normalizing_max_positive_and_shift_invariant():
@@ -114,22 +112,6 @@ def test_shift_identity_exact():
         np.testing.assert_array_equal(shifted, base)
 
 
-def test_peak_time_matches_brute_force():
-    for p1, p6 in ((6.0, 0.0), (7.0, 1.2), (9.0, 2.0)):
-        p = HrfParams(p1, p6)
-        t = p6 + np.arange(0, 200001) * 1e-4
-        brute = float(t[np.argmax(g_normalized(t, p))])
-        assert peak_time(p) == pytest.approx(brute, abs=1e-3)
-        # normalization divides by the 0.001 s grid max, so the refined peak
-        # value sits within interpolation error above 1
-        assert g_normalized(peak_time(p), p) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_peak_time_monotone_in_time_to_peak():
-    peaks = [peak_time(HrfParams(p1, 0.0)) for p1 in np.linspace(6.0, 9.0, 7)]
-    assert all(b > a for a, b in zip(peaks, peaks[1:]))
-
-
 def test_default_hrf_length():
     assert default_hrf_length(2.0) == 17
     assert default_hrf_length(2.5) == 13
@@ -139,19 +121,19 @@ def test_default_hrf_length():
 def test_sample_hrf_shapes_and_offsets():
     p = HrfParams(6.0, 0.0)
     v = sample_hrf(p, 2.0)
-    assert len(v) == 17 and v.delta_t == 2.0 and v.offset == 0.0
-    assert v.heights[0] == 0.0
+    assert v.shape == (17,)
+    assert v[0] == 0.0
     v2 = sample_hrf(p, 2.5, offset=1.25)
-    assert len(v2) == 13
+    assert v2.shape == (13,)
     # offset samples are the curve at offset + j*delta
     t = 1.25 + np.arange(13) * 2.5
-    np.testing.assert_array_equal(v2.heights, g_normalized(t, p))
-    assert not v2.heights.flags.writeable
+    np.testing.assert_array_equal(v2, g_normalized(t, p))
+    assert not v2.flags.writeable
 
 
 def test_sample_hrf_matches_reference():
     for p1, p6 in ((6.0, 0.0), (7.2, 1.1), (9.0, 2.0)):
-        got = sample_hrf(HrfParams(p1, p6), 2.0).heights
+        got = sample_hrf(HrfParams(p1, p6), 2.0)
         want = ref_hrf(p1, p6, 2.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -201,7 +183,7 @@ def test_bundle_layout_and_caching():
     assert arr.shape == (1, 17, 3)
     assert not arr.flags.writeable
     p = HrfParams(6.5, 0.5)
-    np.testing.assert_array_equal(arr[0, :, 0], sample_hrf(p, 2.0).heights)
+    np.testing.assert_array_equal(arr[0, :, 0], sample_hrf(p, 2.0))
     np.testing.assert_array_equal(arr[0, :, 1], hrf_partial(p, "p1", 2.0))
     np.testing.assert_array_equal(arr[0, :, 2], hrf_partial(p, "p6", 2.0))
     assert hrf_bundle((6.5,), (0.5,), 2.0, (0.0,), 17) is arr
@@ -211,8 +193,8 @@ def test_bundle_two_offsets_stacks_runs():
     arr = hrf_bundle((6.0,), (0.0,), 2.5, (0.0, 1.25), 13)
     assert arr.shape == (1, 26, 3)
     p = HrfParams(6.0, 0.0)
-    np.testing.assert_array_equal(arr[0, :13, 0], sample_hrf(p, 2.5).heights)
-    np.testing.assert_array_equal(arr[0, 13:, 0], sample_hrf(p, 2.5, offset=1.25).heights)
+    np.testing.assert_array_equal(arr[0, :13, 0], sample_hrf(p, 2.5))
+    np.testing.assert_array_equal(arr[0, 13:, 0], sample_hrf(p, 2.5, offset=1.25))
 
 
 @pytest.mark.parametrize("preset", ["search", "comparison"])
@@ -257,15 +239,13 @@ def test_bundle_rejects_bad_points():
 
 
 def test_norm_info_matches_full_scan():
-    # the windowed scan must return the full 32,001-point scan's (max, first
-    # index); the sweep covers (1, 32] and every grid p1 with its partials'
-    # p1 +- 1e-5
+    # the windowed scan must return the full 32,001-point scan's max; the
+    # sweep covers (1, 32] and every grid p1 with its partials' p1 +- 1e-5
     grid_p1s = {p.p1 for preset in ("search", "comparison") for p in make_grid(1, preset=preset).ps}
     sweep = set((1.0 + 0.01 * np.arange(1, 3101)).tolist()) | {1.000001, 1.00001}
     sweep |= {v + d for v in grid_p1s for d in (-FD_STEP, 0.0, FD_STEP)}
     p1s = tuple(sorted(sweep))
-    consts, idxs = _norm_info(p1s, DEFAULT_P2, DEFAULT_P3, DEFAULT_P4, DEFAULT_P5)
+    consts = _norm_info(p1s)
     scan = np.arange(32001) * NORM_SCAN_STEP
-    for p1, c, i in zip(p1s, consts, idxs):
-        vals = g_raw(scan, HrfParams(p1, 0.0))
-        assert (c, i) == (vals.max(), np.argmax(vals)), p1
+    for p1, c in zip(p1s, consts):
+        assert c == g_raw(scan, HrfParams(p1, 0.0)).max(), p1

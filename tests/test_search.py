@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from mmdesign.criteria import LocalOptTable, make_grid
+from mmdesign.criteria import LocalOptTable, ParamGrid, make_grid
 from mmdesign.designs import Design, cyclic_design, random_design
 from mmdesign.errors import ConfigurationError, NumericalError, TableLookupError
 from mmdesign.glsmodel import DriftSpec, Evaluator, NoiseSpec
+from mmdesign.hrf import HrfParams
 from mmdesign.search import (
     GaConfig,
     build_local_opt_table,
@@ -232,9 +233,9 @@ def test_build_table_progress_callback():
 
 
 def test_build_table_raises_when_nothing_estimable():
-    # an HRF truncated to a single sample (height 0 at onset) zeroes every
-    # design, so no grid point has a positive optimum
-    ev = Evaluator(q_types=1, n_slots=12, isi=4.0, tr=2.0,
-                   noise=NoiseSpec(rho=0.3), drift=DriftSpec(order=2), hrf_length=1)
+    # an onset delay of 40 s puts the whole response past the 32 s window:
+    # every sampled height and partial is zero, so every design scores zero
+    # and no grid point has a positive optimum
+    grid = ParamGrid(thetas=((1.0,),), ps=(HrfParams(6.0, 40.0),))
     with pytest.raises(NumericalError):
-        build_local_opt_table(TINY_GRID, ev, GA_TINY)
+        build_local_opt_table(grid, tiny_eval(), GA_TINY)
