@@ -36,7 +36,7 @@ from .designs import (Design, block_design, constrained_random, cyclic_design,
                       save_design)
 from .errors import (ConfigurationError, InputParseError, MmdesignError,
                      TableFormatError)
-from .glsmodel import DriftSpec, NoiseSpec, get_evaluator
+from .glsmodel import DEFAULT_RUN_SHIFT, DriftSpec, NoiseSpec, get_evaluator
 from .search import (GaConfig, SearchResult, ga_search, maximin_objective,
                      mme_objective, build_local_opt_table)
 from .util import (fmt_float, is_finite_number, mean_and_stderr, parallel_map,
@@ -72,7 +72,7 @@ class ExperimentConfig:
     rho: float = 0.3
     drift_order: int = 2
     runs: int = 1
-    run_shift: float = 1.25
+    run_shift: float = DEFAULT_RUN_SHIFT
     grid: str | None = None          # objective/evaluation preset; per-command default
     region: str = "theta0"
     p_step: float | None = None
@@ -437,8 +437,9 @@ def cmd_search_maximin(args) -> int:
     reports = [min_phi_a(r.best_design, report_grid, cfg.tr, noise, drift, cfg.run_shift)
                for r in results]
     with_rg = cfg.q_types >= 2 and cfg.region == "theta0"
-    extras = [{"min_rg": min_rg(r.best_design, p_grid(COMPARISON_P_STEP), cfg.tr, noise,
-                                drift, run_shift=cfg.run_shift)} if with_rg else {}
+    rg_ps = p_grid(COMPARISON_P_STEP) if with_rg else ()
+    extras = [{"min_rg": min_rg(r.best_design, rg_ps, cfg.tr, noise, drift,
+                                run_shift=cfg.run_shift)} if with_rg else {}
               for r in results]
     return _finish_search(cfg, run, results, "min_phi_a", reports, extras, {})
 

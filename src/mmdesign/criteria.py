@@ -21,7 +21,7 @@ import numpy as np
 
 from .designs import Design, design_from_text
 from .errors import ConfigurationError, MmdesignError, TableFormatError, TableLookupError
-from .glsmodel import DriftSpec, NoiseSpec, evaluator_for
+from .glsmodel import DEFAULT_RUN_SHIFT, DriftSpec, NoiseSpec, evaluator_for
 from .hrf import HrfParams
 from .util import is_finite_number
 
@@ -334,7 +334,7 @@ def worst_case(values: np.ndarray, grid: ParamGrid) -> MinResult:
 
 
 def min_phi_a(d: Design, grid: ParamGrid, tr: float, noise: NoiseSpec,
-              drift: DriftSpec, run_shift: float = 1.25) -> MinResult:
+              drift: DriftSpec, run_shift: float = DEFAULT_RUN_SHIFT) -> MinResult:
     """Worst-case A-criterion value over the grid (first minimizer in grid
     order on ties)."""
     return worst_case(_grid_values(d, grid, tr, noise, drift, run_shift), grid)
@@ -477,14 +477,14 @@ def _row_problem(row, q_types: int) -> str | None:
 
 def relative_efficiency(d: Design, theta, p: HrfParams, table: LocalOptTable,
                         tr: float, noise: NoiseSpec, drift: DriftSpec,
-                        run_shift: float = 1.25) -> float:
+                        run_shift: float = DEFAULT_RUN_SHIFT) -> float:
     """A-criterion value divided by the tabulated local optimum at the point."""
     ev = evaluator_for(d, tr, noise, drift, run_shift=run_shift)
     return ev.phi_a(d, theta, p) / table.value(theta, p)
 
 
 def min_re(d: Design, grid: ParamGrid, table: LocalOptTable, tr: float,
-           noise: NoiseSpec, drift: DriftSpec, run_shift: float = 1.25) -> MinResult:
+           noise: NoiseSpec, drift: DriftSpec, run_shift: float = DEFAULT_RUN_SHIFT) -> MinResult:
     """Worst-case relative efficiency over the grid (zero direction included
     by the caller via grid.with_zero())."""
     values = _grid_values(d, grid, tr, noise, drift, run_shift)
@@ -497,7 +497,7 @@ def min_re(d: Design, grid: ParamGrid, table: LocalOptTable, tr: float,
 
 def rg_ratios(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
               drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP,
-              run_shift: float = 1.25) -> dict[tuple[int, ...], float]:
+              run_shift: float = DEFAULT_RUN_SHIFT) -> dict[tuple[int, ...], float]:
     """Per-permutation ratio of the worst case over the image of the reduced
     region to the worst case over the reduced region itself."""
     q = d.q_types
@@ -521,7 +521,7 @@ def rg_ratios(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
 
 def min_rg(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
            drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP,
-           run_shift: float = 1.25) -> float:
+           run_shift: float = DEFAULT_RUN_SHIFT) -> float:
     """Efficiency lower bound: smallest permutation-image ratio, floored at 1."""
     ratios = rg_ratios(d, ps, tr, noise, drift, phi_step=phi_step, run_shift=run_shift)
     if not ratios:

@@ -21,15 +21,14 @@ so V X is one shifted subtraction per run, and the drift projector is the
 identity minus Qs Qs' for a thin orthonormal basis Qs of V S.  Everything
 after the Gram matrix is Q x Q algebra: one matrix product of Y with the
 stacked HRF bundles of all p points, one batched product over p, and
-closed-form 2 x 2 pseudo-inverses for the nuisance block.  A grid's HRF
-bundles are built in one vectorized pass (`hrf.hrf_bundle` over all its p
-points) and kept per p-point tuple.
+closed-form 2 x 2 pseudo-inverses for the nuisance block.  `hrf.hrf_bundle`
+builds a grid's HRF bundles in one vectorized pass and caches them by value;
+the evaluator keeps the last grid's, stacked.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +45,6 @@ RCOND_SINGULAR = 1e-12  # below this reciprocal condition number, phi_a = 0
 # ratio, and the two errors meet at sqrt(eps).
 LL_RANK_ONE_RATIO = math.sqrt(np.finfo(float).eps)
 DEFAULT_RUN_SHIFT = 1.25
-STACK_CACHE_SIZE = 8  # distinct p-point tuples whose stacked bundles an evaluator keeps
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,8 @@ class Evaluator:
     constructor keeps only the AR(1) coefficient and a thin orthonormal basis
     of the whitened drift columns; each design then yields a Gram matrix from
     which information matrices at any (theta, p) follow by small quadratic
-    forms.  The stacked HRF bundles of the last few p-point tuples are kept,
-    so repeated grid scorings look up no bundles.
+    forms.  The stacked HRF bundles of the last grid scored are kept, and
+    `hrf_bundle` caches grids by value.
     """
 
     def __init__(self, q_types: int, n_slots: int, isi: float, tr: float,
@@ -185,9 +183,7 @@ class Evaluator:
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
         self.width = noise.runs * self.hrf_length  # columns per type block
-        self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._recent_stack: tuple = (None, None)
-        self._stacks_lock = threading.Lock()  # worker threads share an evaluator
 
     # -- drift removal -----------------------------------------------------
 
@@ -279,22 +275,16 @@ class Evaluator:
     def _stacked_bundles(self, ps) -> tuple[np.ndarray, np.ndarray]:
         """Bundles of the p points in the tuple `ps`, built in one pass and
         stacked two ways: (width, n_p*3) for the product with the Gram matrix
-        and (n_p, 3, width) for the batched product over p.  Kept per
-        distinct tuple; a search passes the same tuple object on every call,
-        which is found without hashing its n_p points."""
+        and (n_p, 3, width) for the batched product over p.  Only the last
+        tuple's are kept, found by identity, as one (ps, stacked) pair that
+        threads replace whole; other tuples come from `hrf_bundle`'s cache."""
         recent_ps, recent = self._recent_stack
         if recent_ps is ps:
             return recent
-        stacked = self._stacks.get(ps)
-        if stacked is None:
-            w_all = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps),
-                               self.delta, self.offsets, self.hrf_length)  # (n_p, width, 3)
-            flat = np.ascontiguousarray(w_all.transpose(1, 0, 2)).reshape(self.width, -1)
-            stacked = (flat, np.ascontiguousarray(w_all.transpose(0, 2, 1)))
-            with self._stacks_lock:
-                if len(self._stacks) >= STACK_CACHE_SIZE:
-                    del self._stacks[next(iter(self._stacks))]
-                self._stacks[ps] = stacked
+        w_all = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps),
+                           self.delta, self.offsets, self.hrf_length)  # (n_p, width, 3)
+        flat = np.ascontiguousarray(w_all.transpose(1, 0, 2)).reshape(self.width, -1)
+        stacked = (flat, np.ascontiguousarray(w_all.transpose(0, 2, 1)))
         self._recent_stack = (ps, stacked)
         return stacked
 

@@ -45,18 +45,18 @@ P5 = 1.0 / 6.0
 class HrfParams:
     """The free parameters: p1 time-to-peak, p6 onset delay.
 
-    Any p1 > 1 with p6 >= 0 is evaluable; the case-study region is
-    p1 in [6, 9], p6 in [0, 2].
+    Any finite p1 > 1 with finite p6 >= 0 is evaluable; the case-study
+    region is p1 in [6, 9], p6 in [0, 2].
     """
 
     p1: float
     p6: float
 
     def __post_init__(self) -> None:
-        if not self.p1 > 1.0:
-            raise ConfigurationError(f"p1 must be > 1 (got {self.p1})")
-        if self.p6 < 0.0:
-            raise ConfigurationError(f"p6 must be >= 0 (got {self.p6})")
+        if not (math.isfinite(self.p1) and self.p1 > 1.0):
+            raise ConfigurationError(f"p1 must be finite and > 1 (got {self.p1})")
+        if not (math.isfinite(self.p6) and self.p6 >= 0.0):
+            raise ConfigurationError(f"p6 must be finite and >= 0 (got {self.p6})")
 
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
@@ -201,10 +201,10 @@ def hrf_bundle(p1s: tuple[float, ...], p6s: tuple[float, ...], delta_t: float,
     p6 = np.array(p6s, dtype=float)
     if p1.shape != p6.shape or p1.ndim != 1:
         raise ConfigurationError("p1s and p6s must be equal-length sequences")
-    if not np.all(p1 > 1.0):
-        raise ConfigurationError(f"p1 must be > 1 (got {p1[~(p1 > 1.0)][0]})")
-    if np.any(p6 < 0.0):
-        raise ConfigurationError(f"p6 must be >= 0 (got {p6[p6 < 0.0][0]})")
+    ok = np.isfinite(p1) & (p1 > 1.0) & np.isfinite(p6) & (p6 >= 0.0)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ConfigurationError(f"need finite p1 > 1 and p6 >= 0 (got {p1[k]}, {p6[k]})")
     eps = FD_STEP
     t = np.concatenate([off + np.arange(length) * delta_t for off in offsets])
     out = np.empty((len(p1), len(t), 3))

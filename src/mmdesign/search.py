@@ -112,15 +112,6 @@ def _base_m_sequence(config: GaConfig) -> tuple[int, ...] | None:
     return d.labels
 
 
-def _knowledge_seeds(config: GaConfig) -> list[tuple[int, ...]]:
-    seeds = []
-    mseq = _base_m_sequence(config)
-    if mseq is not None:
-        seeds.append(mseq)
-    seeds.append(block_design(config.q_types, 4, config.genome_length, config.isi).labels)
-    return seeds
-
-
 def ga_search(objective, config: GaConfig, map_fn=None,
               seed_designs: tuple[Design, ...] = ()) -> SearchResult:
     """Maximize `objective` (a pure function of a Design) under the budget.
@@ -152,7 +143,11 @@ def ga_search(objective, config: GaConfig, map_fn=None,
             raise ConfigurationError(
                 f"seed design length {len(g)} does not match genome length {glen}")
         genomes.append(g)
-    genomes.extend(_knowledge_seeds(config))
+    # knowledge-based seeds: the m-sequence (also the immigrants' base) and a block design
+    mseq_base = _base_m_sequence(config)
+    if mseq_base is not None:
+        genomes.append(mseq_base)
+    genomes.append(block_design(q, 4, glen, config.isi).labels)
     seen = set()
     unique = []
     for g in genomes:
@@ -181,7 +176,6 @@ def ga_search(objective, config: GaConfig, map_fn=None,
     population = evaluate(genomes)
     population.sort(key=lambda it: (-it[0], it[1]))
     trace = [population[0][0]]
-    mseq_base = _base_m_sequence(config)
 
     generation = 0
     while n_evals < budget:
@@ -292,8 +286,9 @@ def build_local_opt_table(grid: ParamGrid, ev: Evaluator, ga: GaConfig,
         point_seed = int(children[idx].generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
         cfg = replace(ga, seed=point_seed)
 
-        def fitness(d: Design, _theta=theta, _p=p) -> float:
-            return ev.phi_a(d, _theta, _p)
+        # one tuple per point, so every call finds its bundles by identity
+        def fitness(d: Design, _thetas=(theta,), _ps=(p,)) -> float:
+            return float(ev.phi_a_grid(d, _thetas, _ps)[0, 0])
 
         seeds = (prev,) if prev is not None else ()
         result = ga_search(fitness, cfg, map_fn=map_fn, seed_designs=seeds)

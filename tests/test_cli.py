@@ -492,6 +492,19 @@ def test_build_table_writes_and_merges(tmp_path, capsys):
     assert open(table_path, "rb").read() == first
 
 
+def test_build_table_threads_do_not_change_table(tmp_path):
+    # both runs share one cached evaluator; with two threads its fitness calls
+    # race on the evaluator's bundle memo
+    cfg = write_config(tmp_path)
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        assert main(["build-table", "--config", cfg, "--budget", "30",
+                     "--threads", threads, "--out", str(out)]) == 0
+        tables.append((out / "table.json").read_bytes())
+    assert tables[0] == tables[1]
+
+
 # -- compare ----------------------------------------------------------------------------
 
 def test_compare_ranks_designs(tmp_path, capsys):

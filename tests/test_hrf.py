@@ -86,6 +86,22 @@ def test_params_validation():
         HrfParams(6.0, 0.0, p2=10.0)
 
 
+NON_FINITE_POINTS = [(6.0, math.nan), (6.0, math.inf), (6.0, -math.inf),
+                     (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0)]
+
+
+@pytest.mark.parametrize("p1,p6", NON_FINITE_POINTS)
+def test_params_reject_non_finite(p1, p6):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        HrfParams(p1, p6)
+
+
+@pytest.mark.parametrize("p1,p6", NON_FINITE_POINTS)
+def test_bundle_rejects_non_finite(p1, p6):
+    with pytest.raises(ConfigurationError, match="need finite"):
+        hrf_bundle((7.0, p1), (1.0, p6), 2.0, (0.0,), 17)
+
+
 def test_normalized_max_is_one_on_scan_grid():
     # the normalizing constant is the exact max over the 0.001 s scan, so the
     # normalized curve attains 1 on that grid when p6 = 0
