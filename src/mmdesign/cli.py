@@ -80,7 +80,6 @@ class ExperimentConfig:
     report_grid: str = "comparison"  # final-evaluation preset for searches
     space: str = "xi"
     seeds: tuple[int, ...] = (0,)
-    threads: int | None = None
     table: str | None = None
     out: str = "mmdesign-out"
     ga: dict = field(default_factory=dict)
@@ -93,6 +92,11 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be a finite positive number (got {v!r})")
         if not is_finite_number(self.run_shift):
             raise ConfigurationError(f"run_shift must be a finite number (got {self.run_shift!r})")
+        for name in ("q_types", "length"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1 (got {getattr(self, name)})")
+        if min(self.seeds, default=0) < 0:
+            raise ConfigurationError(f"seeds must be >= 0 (got {min(self.seeds)})")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -167,9 +171,6 @@ class ExperimentConfig:
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["seeds"] = list(self.seeds)
-        # worker count is a run-environment detail (recorded in run_meta.json),
-        # not part of what the outputs depend on
-        del d["threads"]
         return d
 
 
@@ -178,7 +179,7 @@ def config_from_args(args) -> ExperimentConfig:
     fields = {}
     if getattr(args, "seed", None):
         fields["seeds"] = tuple(args.seed)
-    for name in ("grid", "space", "table", "out", "threads"):
+    for name in ("grid", "space", "table", "out"):
         v = getattr(args, name, None)
         if v is not None:
             fields[name] = v
@@ -232,12 +233,12 @@ def write_csv(path: str, header: list[str], grid: ParamGrid, blocks) -> None:
 
 
 class _RunClock:
-    """Worker count, start time and clocks of one command, taken once its
-    configuration is resolved; `finish` stops the clocks and writes them to
-    run_meta.json."""
+    """Worker count (`--threads`), start time and clocks of one command, taken
+    once its configuration is resolved; `finish` stops the clocks and writes
+    them to run_meta.json."""
 
-    def __init__(self, cfg: ExperimentConfig) -> None:
-        self.threads = resolve_threads(cfg.threads)
+    def __init__(self, args) -> None:
+        self.threads = resolve_threads(args.threads)
         self.started = _now_iso()
         self.t0, self.c0 = time.perf_counter(), time.process_time()
 
@@ -271,12 +272,6 @@ def min_result_dict(r: MinResult) -> dict:
     return {"value": r.value, "theta": list(r.theta), "p1": r.p.p1, "p6": r.p.p6}
 
 
-def _map_fn(threads: int):
-    if threads <= 1:
-        return None
-    return lambda f, xs: parallel_map(f, xs, threads)
-
-
 def _now_iso() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -308,7 +303,7 @@ def _load_table(path: str, cfg: ExperimentConfig) -> LocalOptTable:
 
 def cmd_evaluate(args) -> int:
     cfg = config_from_args(args)
-    run = _RunClock(cfg)
+    run = _RunClock(args)
     d = _load_design_checked(args.design, cfg)
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
@@ -384,8 +379,10 @@ def cmd_generate(args) -> int:
 # searches
 # ---------------------------------------------------------------------------
 
-def _search_seeds(cfg: ExperimentConfig, objective, map_fn=None) -> list[SearchResult]:
-    return [ga_search(objective, cfg.ga_config(seed), map_fn=map_fn) for seed in cfg.seeds]
+def _search_seeds(cfg: ExperimentConfig, objective, threads: int) -> list[SearchResult]:
+    """One search per seed, up to `threads` at once, in seed order."""
+    return parallel_map(lambda seed: ga_search(objective, cfg.ga_config(seed)),
+                        cfg.seeds, threads)
 
 
 def _finish_search(cfg: ExperimentConfig, run: _RunClock, results: list[SearchResult],
@@ -418,7 +415,7 @@ def _finish_search(cfg: ExperimentConfig, run: _RunClock, results: list[SearchRe
         save_design(r.best_design, os.path.join(ddir, f"seed_{seed}.txt"))
     save_design(results[best_idx].best_design, os.path.join(outdir, "best_design.txt"))
     write_json(os.path.join(outdir, "summary.json"), summary)
-    run.finish(outdir, {"per_seed_cpu_s": [r.cpu_time_s for r in results]})
+    run.finish(outdir)
     label = criterion.replace("_", " ", 1)  # min_phi_a -> "min phi_a"
     print(f"{label} over {len(cfg.seeds)} seed(s): max {fmt_float(stats['max'])}, "
           f"mean {fmt_float(stats['mean'])}"
@@ -429,9 +426,9 @@ def _finish_search(cfg: ExperimentConfig, run: _RunClock, results: list[SearchRe
 
 def cmd_search_maximin(args) -> int:
     cfg = config_from_args(args)
-    run = _RunClock(cfg)
+    run = _RunClock(args)
     objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
-    results = _search_seeds(cfg, objective, map_fn=_map_fn(run.threads))
+    results = _search_seeds(cfg, objective, run.threads)
     report_grid = cfg.make_grid()
     noise, drift = cfg.noise(), cfg.drift()
     reports = [min_phi_a(r.best_design, report_grid, cfg.tr, noise, drift, cfg.run_shift)
@@ -448,11 +445,11 @@ def cmd_search_mme(args) -> int:
     cfg = config_from_args(args)
     if not cfg.table:
         raise ConfigurationError("search-mme needs --table PATH (or config key 'table')")
-    run = _RunClock(cfg)
+    run = _RunClock(args)
     table = _load_table(cfg.table, cfg)
     grid = cfg.make_grid("search", include_zero=True)
     objective = mme_objective(cfg.evaluator(), grid, table)
-    results = _search_seeds(cfg, objective, map_fn=_map_fn(run.threads))
+    results = _search_seeds(cfg, objective, run.threads)
     noise, drift = cfg.noise(), cfg.drift()
     reports = [min_re(r.best_design, grid, table, cfg.tr, noise, drift, cfg.run_shift)
                for r in results]
@@ -466,7 +463,7 @@ def cmd_search_mme(args) -> int:
 
 def cmd_build_table(args) -> int:
     cfg = config_from_args(args)
-    run = _RunClock(cfg)
+    run = _RunClock(args)
     grid = cfg.make_grid("search", include_zero=True)
     outdir = _ensure_out(cfg)
     path = cfg.table or os.path.join(outdir, "table.json")
@@ -481,8 +478,9 @@ def cmd_build_table(args) -> int:
         if i % 25 == 0 or i == total:
             print(f"  {i}/{total} grid points", file=sys.stderr)
 
-    table = build_local_opt_table(grid, ev, ga, existing=existing,
-                                  map_fn=_map_fn(run.threads), progress=progress)
+    # points run in order whatever --threads says: each is warm-started from
+    # the previous point's winner
+    table = build_local_opt_table(grid, ev, ga, existing=existing, progress=progress)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -498,7 +496,7 @@ def cmd_build_table(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = config_from_args(args)
-    run = _RunClock(cfg)
+    run = _RunClock(args)
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
     noise, drift = cfg.noise(), cfg.drift()
@@ -552,18 +550,17 @@ def cmd_example_miezin(args) -> int:
     cfg = config_from_args(args)
     cfg = replace(cfg, q_types=1, length=132, isi=2.5, tr=2.5, runs=2,
                   run_shift=1.25, drift_order=2, region="theta0")
-    run = _RunClock(cfg)
+    run = _RunClock(args)
     drift = cfg.drift()
     search_grid = cfg.make_grid("search")
     report_grid = cfg.make_grid()
-    map_fn = _map_fn(run.threads)
 
     ev = cfg.evaluator()
 
     def report_values(d: Design) -> np.ndarray:
         return ev.phi_a_grid(d, report_grid.thetas, report_grid.ps)
 
-    results = _search_seeds(cfg, maximin_objective(ev, search_grid), map_fn=map_fn)
+    results = _search_seeds(cfg, maximin_objective(ev, search_grid), run.threads)
     seed_values = [report_values(r.best_design) for r in results]
     best_idx = _best_index([float(v.min()) for v in seed_values])
     d_star = results[best_idx].best_design
@@ -598,7 +595,7 @@ def cmd_example_miezin(args) -> int:
         cfg_alt = replace(cfg, rho=rho_alt)
         ev_alt = cfg_alt.evaluator()
         obj_alt = maximin_objective(ev_alt, search_grid)
-        res_alt = _search_seeds(cfg_alt, obj_alt, map_fn=map_fn)
+        res_alt = _search_seeds(cfg_alt, obj_alt, run.threads)
         fin_alt = [min_phi_a(r.best_design, report_grid, cfg.tr, noise_alt, drift,
                              cfg.run_shift).value for r in res_alt]
         alt_idx = _best_index(fin_alt)
@@ -647,8 +644,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", choices=["xi", "xi0"], help="design space override")
     p.add_argument("--table", help="locally optimal design table (JSON)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, help="worker threads "
-                   "(default: MMDESIGN_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="seeds searched at once (default 1)")
 
 
 def _add_model_overrides(p: argparse.ArgumentParser) -> None:

@@ -218,7 +218,6 @@ class ParamGrid:
 
     thetas: tuple[tuple[float, ...], ...]
     ps: tuple[HrfParams, ...]
-    tag: str = "custom"
 
     @property
     def q_types(self) -> int:
@@ -238,7 +237,7 @@ class ParamGrid:
         z = zero_theta(self.q_types)
         if z in self.thetas:
             return self
-        return ParamGrid(thetas=(z,) + self.thetas, ps=self.ps, tag=self.tag)
+        return ParamGrid(thetas=(z,) + self.thetas, ps=self.ps)
 
 
 def make_grid(q: int, preset: str = "search", region: str = "theta0",
@@ -258,7 +257,7 @@ def make_grid(q: int, preset: str = "search", region: str = "theta0",
         thetas = full_theta_grid(q, phi_step)
     else:
         raise ConfigurationError(f"unknown amplitude region {region!r}")
-    grid = ParamGrid(thetas=thetas, ps=p_grid(p_step), tag=f"{preset}:{region}")
+    grid = ParamGrid(thetas=thetas, ps=p_grid(p_step))
     return grid.with_zero() if include_zero else grid
 
 

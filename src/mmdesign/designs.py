@@ -195,9 +195,10 @@ def constrained_random(length: int, zero_fraction: float, gap_window: tuple[floa
                        isi: float, seed: int, max_tries: int = 10_000) -> Design:
     """Random permutation of a fixed 0/1 composition whose mean inter-onset
     time falls in `gap_window` (seconds); rejection sampling."""
-    n_zero = int(round(length * zero_fraction))
-    if not 0 <= n_zero <= length:
+    share = length * zero_fraction
+    if not (math.isfinite(share) and 0 <= round(share) <= length):
         raise ConfigurationError(f"zero_fraction {zero_fraction} out of range")
+    n_zero = int(round(share))
     lo, hi = gap_window
     base = np.array([0] * n_zero + [1] * (length - n_zero))
     rng = np.random.default_rng(seed)
@@ -348,6 +349,8 @@ def m_sequence_params(q_types: int, length: int,
         degree = 2
         while field ** degree - 1 < length and degree < 20:
             degree += 1
+    if degree < 1:
+        raise ConfigurationError(f"m-sequence degree must be >= 1 (got {degree})")
     return field, degree, default_primitive_poly(field, degree)
 
 

@@ -5,7 +5,7 @@ random cut point, children are mutated positionwise, and a few immigrants
 (block designs, rotations of an m-sequence, uniform random sequences) keep the
 population from collapsing.  Survivors are the best of parents, children, and
 immigrants.  Everything is driven by one seeded generator, so runs are exactly
-reproducible; fitness calls are pure and may be mapped by a worker pool.
+reproducible.
 
 The search space is either all label sequences of the given length, or the
 restricted class built by cyclically relabeling a short sequence and
@@ -14,7 +14,6 @@ concatenating Q copies (genomes are then the short sequence).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,8 +79,6 @@ class SearchResult:
     best_objective: float
     trace: tuple[float, ...]  # best objective after each generation
     n_evaluations: int
-    wall_time_s: float
-    cpu_time_s: float
     config: GaConfig
 
     def to_json_dict(self) -> dict:
@@ -112,7 +109,7 @@ def _base_m_sequence(config: GaConfig) -> tuple[int, ...] | None:
     return d.labels
 
 
-def ga_search(objective, config: GaConfig, map_fn=None,
+def ga_search(objective, config: GaConfig,
               seed_designs: tuple[Design, ...] = ()) -> SearchResult:
     """Maximize `objective` (a pure function of a Design) under the budget.
 
@@ -121,8 +118,6 @@ def ga_search(objective, config: GaConfig, map_fn=None,
     live in the configured search space.  A nonzero mutation rate is floored
     at one expected flip per child.
     """
-    if map_fn is None:
-        map_fn = lambda f, xs: [f(x) for x in xs]
     rng = np.random.default_rng(config.seed)
     glen = config.genome_length
     q = config.q_types
@@ -161,17 +156,13 @@ def ga_search(objective, config: GaConfig, map_fn=None,
             unique.append(g)
     genomes = unique[:config.population_size]
 
-    t_wall = time.perf_counter()
-    t_cpu = time.process_time()
     n_evals = 0
     budget = config.max_evaluations
 
     def evaluate(batch: list[tuple[int, ...]]) -> list[tuple[float, tuple[int, ...]]]:
         nonlocal n_evals
-        designs = [decode_genome(g, config) for g in batch]
-        vals = list(map_fn(objective, designs))
         n_evals += len(batch)
-        return [(float(v), g) for v, g in zip(vals, batch)]
+        return [(float(objective(decode_genome(g, config))), g) for g in batch]
 
     population = evaluate(genomes)
     population.sort(key=lambda it: (-it[0], it[1]))
@@ -233,8 +224,6 @@ def ga_search(objective, config: GaConfig, map_fn=None,
         best_objective=best_val,
         trace=tuple(trace),
         n_evaluations=n_evals,
-        wall_time_s=time.perf_counter() - t_wall,
-        cpu_time_s=time.process_time() - t_cpu,
         config=config,
     )
 
@@ -270,7 +259,7 @@ def mme_objective(ev: Evaluator, grid: ParamGrid, table: LocalOptTable):
 
 def build_local_opt_table(grid: ParamGrid, ev: Evaluator, ga: GaConfig,
                           existing: LocalOptTable | None = None,
-                          map_fn=None, progress=None) -> LocalOptTable:
+                          progress=None) -> LocalOptTable:
     """One genetic search per grid point, warm-started from the previous
     point's winner; keep-the-larger merge into `existing` when given.
 
@@ -291,7 +280,7 @@ def build_local_opt_table(grid: ParamGrid, ev: Evaluator, ga: GaConfig,
             return float(ev.phi_a_grid(d, _thetas, _ps)[0, 0])
 
         seeds = (prev,) if prev is not None else ()
-        result = ga_search(fitness, cfg, map_fn=map_fn, seed_designs=seeds)
+        result = ga_search(fitness, cfg, seed_designs=seeds)
         if result.best_objective <= 0.0:
             raise NumericalError(
                 f"no estimable design found at theta={theta}, p=({p.p1}, {p.p6})")

@@ -3,41 +3,25 @@
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError
 
-THREADS_ENV_VAR = "MMDESIGN_THREADS"
 
-
-def resolve_threads(requested: int | None = None) -> int:
-    """Worker-pool size: explicit argument, else MMDESIGN_THREADS, else one
-    worker (more threads have measured slower than one)."""
-    if requested is not None:
-        if requested < 1:
-            raise ConfigurationError(f"thread count must be >= 1 (got {requested})")
-        return requested
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{THREADS_ENV_VAR} must be an integer (got {env!r})") from exc
-        if n < 1:
-            raise ConfigurationError(f"{THREADS_ENV_VAR} must be >= 1 (got {n})")
-        return n
-    return 1
+def resolve_threads(requested: int) -> int:
+    """Checked worker count: at least one."""
+    if requested < 1:
+        raise ConfigurationError(f"thread count must be >= 1 (got {requested})")
+    return requested
 
 
 def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
     """Order-preserving map over independent pure tasks.
 
     Results are identical for any pool size.  numpy releases the GIL only
-    inside its larger array operations, and a fitness call is mostly small
-    ones, so threads have not been measured to give a speedup.
+    inside its larger array operations, and a search is mostly small ones, so
+    threads have not been measured to give a speedup.
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]

@@ -78,15 +78,8 @@ def test_parallel_map_preserves_order():
     assert parallel_map(lambda x: x * x, items, threads=1) == [x * x for x in items]
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     assert resolve_threads(3) == 3
-    monkeypatch.setenv("MMDESIGN_THREADS", "5")
-    assert resolve_threads() == 5
-    monkeypatch.setenv("MMDESIGN_THREADS", "zero")
-    with pytest.raises(ConfigurationError):
-        resolve_threads()
-    monkeypatch.delenv("MMDESIGN_THREADS")
-    assert resolve_threads() == 1
     with pytest.raises(ConfigurationError):
         resolve_threads(0)
 
@@ -266,18 +259,17 @@ def test_exit_code_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, mystery=1)
     design = write_design(tmp_path, [1, 0] * 6)
     assert main(["evaluate", design, "--config", cfg]) == 2
+    assert main(["evaluate", design, "--config", write_config(tmp_path, threads=2)]) == 2
     notjson = tmp_path / "broken.json"
     notjson.write_text("{", encoding="utf-8")
     assert main(["evaluate", design, "--config", str(notjson)]) == 2
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args):
     """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(mmdesign.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("MMDESIGN_THREADS", None)
-    env.update(env_extra or {})
     proc = subprocess.run([sys.executable, "-m", "mmdesign.cli", *args], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr
@@ -295,13 +287,6 @@ def test_exit_code_zero_threads(tmp_path):
     cfg = write_config(tmp_path)
     design = write_design(tmp_path, [1, 0] * 6)
     assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--threads", "0"]), 2)
-
-
-def test_exit_code_non_integer_threads_env(tmp_path):
-    cfg = write_config(tmp_path)
-    design = write_design(tmp_path, [1, 0] * 6)
-    assert_clean_exit(run_cli(["evaluate", design, "--config", cfg],
-                              env_extra={"MMDESIGN_THREADS": "abc"}), 2)
 
 
 def test_exit_code_nan_isi(tmp_path):
@@ -391,6 +376,46 @@ def test_exit_code_non_utf8_file(tmp_path, bad_file, code):
     assert "bad.bin" in result[1]
 
 
+@pytest.mark.parametrize("args, key", [
+    (["search-maximin", "--seed", "-1"], "seeds"),
+    (["build-table", "--seed", "-4"], "seeds"),
+    (["example-miezin", "--seed", "-2"], "seeds"),
+    (["generate", "random", "--seed", "-1"], "seeds"),
+    (["generate", "random", "--q", "-1"], "q_types"),
+    (["search-maximin", "--q", "0"], "q_types"),
+    (["search-maximin", "--length", "-5"], "length"),
+])
+def test_exit_code_negative_seed_or_size(tmp_path, args, key):
+    result = run_cli([*args, "--out", str(tmp_path / "out")])
+    assert_clean_exit(result, 2)
+    assert key in result[1]
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_config_seed_and_size(tmp_path):
+    design = write_design(tmp_path, [1, 0] * 6)
+    for key, value in (("seeds", [0, -3]), ("q_types", 0), ("length", 0)):
+        cfg = write_config(tmp_path, **{key: value})
+        result = run_cli(["evaluate", design, "--config", cfg])
+        assert_clean_exit(result, 2)
+        assert key in result[1]
+    result = run_cli(["evaluate", design, "--config", write_config(tmp_path), "--q", "0"])
+    assert_clean_exit(result, 2)
+    assert "q_types" in result[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["mseq", "--degree", "0"],
+    ["mseq", "--degree", "-1"],
+    ["constrained-random", "--zero-fraction", "nan"],
+    ["constrained-random", "--zero-fraction", "inf"],
+])
+def test_exit_code_bad_generate_value(tmp_path, args):
+    out = tmp_path / "d.txt"
+    assert_clean_exit(run_cli(["generate", *args, "-o", str(out)]), 2)
+    assert not out.exists()
+
+
 def test_exit_code_no_random_competitors(tmp_path):
     result = run_cli(["example-miezin", "--budget", "20", "--n-random", "0",
                       "--out", str(tmp_path / "out")])
@@ -426,14 +451,16 @@ def test_search_maximin_outputs_and_determinism(tmp_path):
 
 
 def test_search_maximin_threads_do_not_change_result(tmp_path):
-    cfg = write_config(tmp_path)
-    assert main(["search-maximin", "--config", cfg, "--seed", "0",
-                 "--threads", "1"]) == 0
-    one = (tmp_path / "out" / "summary.json").read_bytes()
-    assert main(["search-maximin", "--config", cfg, "--seed", "0",
-                 "--threads", "4"]) == 0
-    # thread count lives in run_meta only, so the summary must match exactly
-    assert (tmp_path / "out" / "summary.json").read_bytes() == one
+    # with --threads 4 the three seeds' searches run side by side on one
+    # shared evaluator; the thread count lives in run_meta only
+    cfg = write_config(tmp_path, seeds=[0, 1, 2])
+    out = tmp_path / "out"
+    files = ["summary.json", *(f"designs/seed_{s}.txt" for s in (0, 1, 2))]
+    outputs = []
+    for threads in ("1", "4"):
+        assert main(["search-maximin", "--config", cfg, "--threads", threads]) == 0
+        outputs.append([(out / f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
 
 
 def test_search_maximin_budget_flag(tmp_path):
@@ -493,8 +520,8 @@ def test_build_table_writes_and_merges(tmp_path, capsys):
 
 
 def test_build_table_threads_do_not_change_table(tmp_path):
-    # both runs share one cached evaluator; with two threads its fitness calls
-    # race on the evaluator's bundle memo
+    # the points run in order whatever --threads says, since each is
+    # warm-started from the previous point's winner
     cfg = write_config(tmp_path)
     tables = []
     for threads in ("1", "2"):

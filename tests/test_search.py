@@ -148,14 +148,6 @@ def test_seed_designs_must_match_genome_length():
         ga_search(count_ones, cfg, seed_designs=(wrong,))
 
 
-def test_map_fn_does_not_change_results():
-    cfg = GaConfig(q_types=1, length=12, isi=4.0, max_evaluations=300, seed=11)
-    plain = ga_search(count_ones, cfg)
-    mapped = ga_search(count_ones, cfg, map_fn=lambda f, xs: [f(x) for x in xs])
-    assert plain.best_design == mapped.best_design
-    assert plain.trace == mapped.trace
-
-
 # -- objectives -------------------------------------------------------------------
 
 def test_maximin_objective_is_grid_minimum():
