@@ -339,6 +339,7 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    resolve_threads(args.threads)
     cfg = config_from_args(args)
     seed = cfg.seeds[0]
     q, length, isi = cfg.q_types, cfg.length, cfg.isi

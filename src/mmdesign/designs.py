@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ class Design:
     isi: float
 
     def __post_init__(self) -> None:
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(map(int, self.labels))
         object.__setattr__(self, "labels", labels)
         if self.q_types < 1:
             raise ConfigurationError(f"q_types must be >= 1 (got {self.q_types})")
@@ -37,8 +38,8 @@ class Design:
             raise ConfigurationError("design must have at least one slot")
         if not (self.isi > 0 and math.isfinite(self.isi)):
             raise ConfigurationError(f"isi must be finite and positive (got {self.isi})")
-        bad = [x for x in labels if x < 0 or x > self.q_types]
-        if bad:
+        if min(labels) < 0 or max(labels) > self.q_types:
+            bad = [x for x in labels if x < 0 or x > self.q_types]
             raise ConfigurationError(
                 f"labels must lie in 0..{self.q_types}; offending value {bad[0]}")
 
@@ -140,6 +141,24 @@ def delta_t(isi: float, tr: float) -> float:
     return delta
 
 
+@lru_cache(maxsize=64)
+def _scan_index(n_labels: int, isi: float, tr: float) -> tuple[int, np.ndarray]:
+    """Slots per onset spacing and the read-only (T, K) index of the onset
+    slot k height-grid steps before scan t; -1 marks slots before the run
+    starts, which read a zero pad."""
+    delta = delta_t(isi, tr)
+    risi = int(round(isi / delta))
+    rtr = int(round(tr / delta))
+    n_slots = n_labels * risi
+    if n_slots % rtr != 0:
+        raise ConfigurationError(
+            f"L*isi must be a whole number of scans (L={n_labels}, isi={isi}, tr={tr})")
+    idx = (np.arange(n_slots // rtr) * rtr)[:, None] - np.arange(default_hrf_length(delta))
+    idx[idx < 0] = -1
+    idx.flags.writeable = False
+    return risi, idx
+
+
 def design_matrix(d: Design, tr: float) -> tuple[np.ndarray, ...]:
     """The scan-by-height matrices X_{d,q}, one (T, K) block per stimulus
     type 1..Q, with K = default_hrf_length(delta).
@@ -148,25 +167,12 @@ def design_matrix(d: Design, tr: float) -> tuple[np.ndarray, ...]:
     steps before scan time t*TR.  Contributions past the end of the experiment
     are discarded with the final scans.
     """
-    delta = delta_t(d.isi, tr)
-    risi = int(round(d.isi / delta))
-    rtr = int(round(tr / delta))
+    risi, idx = _scan_index(len(d), d.isi, tr)
     n_slots = len(d) * risi
-    if n_slots % rtr != 0:
-        raise ConfigurationError(
-            f"L*isi must be a whole number of scans (L={len(d)}, isi={d.isi}, tr={tr})")
-    rows = np.arange(n_slots // rtr) * rtr
-    k = np.arange(default_hrf_length(delta))
-    idx = rows[:, None] - k[None, :]
-    valid = idx >= 0
-    idx = np.where(valid, idx, 0)
-    blocks = []
-    labels = np.asarray(d.labels)
-    for q in range(1, d.q_types + 1):
-        u = np.zeros(n_slots)
-        u[np.nonzero(labels == q)[0] * risi] = 1.0
-        blocks.append(np.where(valid, u[idx], 0.0))
-    return tuple(blocks)
+    # one row per label 0..Q; the last column is the zero pad idx -1 reads
+    u = np.zeros((d.q_types + 1, n_slots + 1))
+    u[d.labels, np.arange(0, n_slots, risi)] = 1.0
+    return tuple(u[1:].take(idx, axis=1))
 
 
 # ---------------------------------------------------------------------------

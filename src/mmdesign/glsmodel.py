@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .designs import Design, delta_t, design_matrix
+from .designs import Design, _scan_index, delta_t, design_matrix
 from .errors import ConfigurationError
 from .hrf import HrfParams, default_hrf_length, hrf_bundle
 
@@ -170,12 +170,7 @@ class Evaluator:
         self.delta = delta_t(isi, tr)
         self.hrf_length = default_hrf_length(self.delta)
         self.offsets = (0.0,) if noise.runs == 1 else (0.0, run_shift)
-        risi = int(round(isi / self.delta))
-        rtr = int(round(tr / self.delta))
-        if (n_slots * risi) % rtr != 0:
-            raise ConfigurationError(
-                f"L*isi must be a whole number of scans (L={n_slots}, isi={isi}, tr={tr})")
-        self.scans_per_run = (n_slots * risi) // rtr
+        self.scans_per_run = _scan_index(n_slots, isi, tr)[1].shape[0]
         s = drift_matrix(self.scans_per_run, drift.order)
         if noise.runs == 2:
             s = _block_diag(s, s)

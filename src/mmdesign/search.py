@@ -15,6 +15,7 @@ concatenating Q copies (genomes are then the short sequence).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,9 +102,10 @@ def decode_genome(genome: tuple[int, ...], config: GaConfig) -> Design:
     return Design(labels=genome, q_types=config.q_types, isi=config.isi)
 
 
-def _base_m_sequence(config: GaConfig) -> tuple[int, ...] | None:
+@lru_cache(maxsize=64)
+def _base_m_sequence(q_types: int, genome_length: int, isi: float) -> tuple[int, ...] | None:
     try:
-        d = m_sequence_design(config.q_types, config.genome_length, config.isi)
+        d = m_sequence_design(q_types, genome_length, isi)
     except (ConfigurationError, GenerationError):
         return None
     return d.labels
@@ -129,7 +131,7 @@ def ga_search(objective, config: GaConfig,
         mut_rate = max(mut_rate, 1.0 / glen)
 
     def random_genome() -> tuple[int, ...]:
-        return tuple(int(x) for x in rng.integers(0, q + 1, size=glen))
+        return tuple(rng.integers(0, q + 1, size=glen).tolist())
 
     genomes: list[tuple[int, ...]] = []
     for d in seed_designs:
@@ -139,7 +141,7 @@ def ga_search(objective, config: GaConfig,
                 f"seed design length {len(g)} does not match genome length {glen}")
         genomes.append(g)
     # knowledge-based seeds: the m-sequence (also the immigrants' base) and a block design
-    mseq_base = _base_m_sequence(config)
+    mseq_base = _base_m_sequence(q, glen, config.isi)
     if mseq_base is not None:
         genomes.append(mseq_base)
     genomes.append(block_design(q, 4, glen, config.isi).labels)
@@ -185,7 +187,7 @@ def ga_search(objective, config: GaConfig,
             mask = rng.random(glen) < mut_rate
             vals = rng.integers(0, q + 1, size=glen)
             arr = np.where(mask, vals, np.asarray(g))
-            mutated.append(tuple(int(x) for x in arr))
+            mutated.append(tuple(arr.tolist()))
         candidates = mutated
         for i in range(config.immigrant_count):
             kind = i % 3

@@ -289,6 +289,15 @@ def test_exit_code_zero_threads(tmp_path):
     assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--threads", "0"]), 2)
 
 
+def test_exit_code_generate_zero_threads(tmp_path):
+    out = tmp_path / "r.txt"
+    result = run_cli(["generate", "random", "--length", "12", "--threads", "0",
+                      "-o", str(out)])
+    assert_clean_exit(result, 2)
+    assert result[1].strip() == "error: thread count must be >= 1 (got 0)"
+    assert not out.exists()
+
+
 def test_exit_code_nan_isi(tmp_path):
     out = tmp_path / "r.txt"
     assert_clean_exit(run_cli(["generate", "random", "--q", "1", "--length", "12",

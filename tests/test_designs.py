@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mmdesign.designs import (
     DEFAULT_PRIMITIVE_POLYS,
     Design,
+    _scan_index,
     block_design,
     constrained_random,
     cycle_labels_once,
@@ -32,6 +33,7 @@ from mmdesign.errors import (
     InputParseError,
     SamplingError,
 )
+from mmdesign.hrf import default_hrf_length
 
 
 def labels_of(d):
@@ -340,13 +342,44 @@ def test_design_matrix_rejects_partial_scan():
     d = Design(labels=(1, 0, 1), q_types=1, isi=2.0)
     with pytest.raises(ConfigurationError):
         design_matrix(d, tr=4.0)  # 3 slots * 2 s = 1.5 scans
+    # the scan index is cached per configuration, but a failed build is not
+    with pytest.raises(ConfigurationError):
+        design_matrix(d, tr=4.0)
 
 
-def test_design_matrix_matches_reference():
+@pytest.mark.parametrize("q, length, isi, tr", [
+    (1, 30, 4.0, 2.0),   # one scan per height-grid step
+    (2, 24, 4.0, 4.0),   # every other step is scanned
+    (3, 16, 3.0, 2.0),   # delta 1 s: 33 heights
+    (2, 20, 2.5, 2.0),   # delta 0.5 s
+    (3, 10, 4.0, 4.0),
+], ids=["q1-isi4-tr2", "q2-isi4-tr4", "q3-isi3-tr2", "q2-isi2.5-tr2", "q3-isi4-tr4"])
+def test_design_matrix_matches_reference(q, length, isi, tr):
     from reference import ref_design_blocks
-    d = random_design(3, 16, 3.0, seed=6)
-    blocks = design_matrix(d, tr=2.0)
-    ref = ref_design_blocks(list(d.labels), 3, 3.0, 2.0, 33)  # delta 1 s: 33 heights
-    assert len(blocks) == 3
-    for got, want in zip(blocks, ref):
-        np.testing.assert_array_equal(got, want)
+    for seed in (6, 7, 8):
+        d = random_design(q, length, isi, seed=seed)
+        blocks = design_matrix(d, tr=tr)
+        ref = ref_design_blocks(list(d.labels), q, isi, tr,
+                                default_hrf_length(delta_t(isi, tr)))
+        assert len(blocks) == q
+        for got, want in zip(blocks, ref):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_design_matrix_blocks_are_fresh_and_index_is_cached_read_only():
+    d = random_design(2, 24, 4.0, seed=7)
+    first = design_matrix(d, tr=2.0)
+    want = [b.copy() for b in first]
+    first[0][:] = 5.0  # the caller owns what it gets back
+    for got, expect in zip(design_matrix(d, tr=2.0), want):
+        np.testing.assert_array_equal(got, expect)
+    _, idx = _scan_index(24, 4.0, 2.0)
+    assert _scan_index(24, 4.0, 2.0)[1] is idx
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+    # same length, other ISI: its own index, and a matrix of its own shape
+    _, idx_fast = _scan_index(24, 2.0, 2.0)
+    assert idx_fast.shape == (24, 17) and idx.shape == (48, 17)
+    fast = design_matrix(Design(labels=d.labels, q_types=2, isi=2.0), tr=2.0)
+    assert fast[0].shape == (24, 17)
