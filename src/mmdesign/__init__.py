@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, GenerationError, InputParseError,
 from .glsmodel import (DriftSpec, Evaluator, NoiseSpec, drift_matrix,
                        evaluator_for, info_matrix, phi_a, phi_from_info,
                        projection, whitening_matrix)
-from .hrf import HrfParams, default_hrf_length, hrf_partial, sample_hrf
+from .hrf import HrfParams, default_hrf_length
 from .search import (GaConfig, SearchResult, build_local_opt_table, ga_search,
                      maximin_objective, mme_objective)
 
@@ -41,7 +41,7 @@ __all__ = [
     "NumericalError", "SamplingError", "TableFormatError", "TableLookupError",
     "DriftSpec", "Evaluator", "NoiseSpec", "drift_matrix", "evaluator_for",
     "info_matrix", "phi_a", "phi_from_info", "projection", "whitening_matrix",
-    "HrfParams", "default_hrf_length", "hrf_partial", "sample_hrf",
+    "HrfParams", "default_hrf_length",
     "GaConfig", "SearchResult", "build_local_opt_table", "ga_search",
     "maximin_objective", "mme_objective",
     "__version__",

@@ -87,7 +87,7 @@ def theta_to_angles(theta) -> tuple[float, ...]:
     return tuple(angles)
 
 
-def canonical_direction(theta, digits: int = _KEY_DIGITS) -> tuple[float, ...]:
+def canonical_direction(theta) -> tuple[float, ...]:
     """Scale-free key for an amplitude vector: unit norm, first nonzero
     coordinate positive, rounded.  The zero vector maps to itself."""
     th = np.asarray(theta, dtype=float)
@@ -100,7 +100,7 @@ def canonical_direction(theta, digits: int = _KEY_DIGITS) -> tuple[float, ...]:
             if x < 0:
                 u = -u
             break
-    return tuple(float(round(x, digits)) + 0.0 for x in u)
+    return tuple(float(round(x, _KEY_DIGITS)) + 0.0 for x in u)
 
 
 def _check_step(step: float) -> None:
@@ -417,10 +417,6 @@ class LocalOptTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def merge(self, other: "LocalOptTable") -> None:
-        for e in other.entries.values():
-            self.put(e.theta, e.p, e.phi_a, e.design)
 
     def save(self, path) -> None:
         rows = []

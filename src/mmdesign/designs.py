@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GenerationError, InputParseError, SamplingError
 from .hrf import default_hrf_length
+from .util import is_finite_number
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,6 @@ class Design:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def onset_count(self, q: int) -> int:
-        return sum(1 for x in self.labels if x == q)
-
     def to_text(self) -> str:
         return " ".join(str(x) for x in self.labels) + "\n"
 
@@ -75,12 +73,24 @@ def design_from_text(text: str, q_types: int, isi: float) -> Design:
         raise InputParseError(f"line {lineno}: {exc}") from exc
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def design_from_json_dict(obj: dict) -> Design:
+    """Design from its JSON object; no field is coerced to its type."""
     try:
-        return Design(labels=tuple(int(x) for x in obj["labels"]),
-                      q_types=int(obj["q"]), isi=float(obj["isi"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        labels, q, isi = obj["labels"], obj["q"], obj["isi"]
+    except (KeyError, TypeError) as exc:
         raise InputParseError(f"bad design JSON: {exc!r}") from exc
+    if not (isinstance(labels, list) and all(map(_is_int, labels))):
+        raise InputParseError("bad design JSON: 'labels' must be a list of integers")
+    if not _is_int(q):
+        raise InputParseError(f"bad design JSON: 'q' must be an integer (got {q!r})")
+    if not is_finite_number(isi):
+        raise InputParseError(f"bad design JSON: 'isi' must be a finite number (got {isi!r})")
+    try:
+        return Design(labels=tuple(labels), q_types=q, isi=float(isi))
     except ConfigurationError as exc:
         raise InputParseError(f"bad design JSON: {exc}") from exc
 
@@ -123,13 +133,13 @@ def save_design(d: Design, path, fmt: str = "text") -> None:
 def delta_t(isi: float, tr: float) -> float:
     """Greatest common divisor of the onset spacing and the scan interval.
 
-    Both must be (near-)rational with a common measure; tolerance 1e-9.
+    Both must be (near-)rational with a nonzero common measure; tolerance 1e-9.
     """
     if not (isi > 0 and tr > 0 and math.isfinite(isi) and math.isfinite(tr)):
         raise ConfigurationError(f"isi and tr must be finite and positive (got {isi}, {tr})")
     fi = Fraction(isi).limit_denominator(10 ** 6)
     ft = Fraction(tr).limit_denominator(10 ** 6)
-    if abs(float(fi) - isi) > 1e-9 or abs(float(ft) - tr) > 1e-9:
+    if fi == 0 or ft == 0 or abs(float(fi) - isi) > 1e-9 or abs(float(ft) - tr) > 1e-9:
         raise ConfigurationError(f"isi/tr have no rational common measure: {isi}, {tr}")
     num = math.gcd(fi.numerator * ft.denominator, ft.numerator * fi.denominator)
     den = fi.denominator * ft.denominator
@@ -252,9 +262,9 @@ def _field_ops(q: int):
             lambda a: (-a) % q)
 
 
-def m_sequence(field_order: int, degree: int, primitive_poly: tuple[int, ...] | None = None,
-               init_state: tuple[int, ...] | None = None) -> list[int]:
-    """Full-period LFSR output over GF(q); length q^degree - 1.
+def m_sequence(field_order: int, degree: int,
+               primitive_poly: tuple[int, ...] | None = None) -> list[int]:
+    """Full-period LFSR output over GF(q) from state (1, 0, ..., 0); length q^degree - 1.
 
     The polynomial is verified primitive by running the register a full period
     and checking the state first returns to the start exactly then; failure is
@@ -271,11 +281,7 @@ def m_sequence(field_order: int, degree: int, primitive_poly: tuple[int, ...] | 
             f"need {degree} coefficients a_0..a_{degree - 1}, got {len(coeffs)}")
     if any(c < 0 or c >= field_order for c in coeffs):
         raise ConfigurationError(f"coefficients must lie in 0..{field_order - 1}")
-    if init_state is None:
-        init_state = (1,) + (0,) * (degree - 1)
-    state = tuple(int(s) for s in init_state)
-    if len(state) != degree or all(s == 0 for s in state):
-        raise ConfigurationError("init_state must be a nonzero length-degree tuple")
+    state = (1,) + (0,) * (degree - 1)
     period = field_order ** degree - 1
     out: list[int] = []
     cur = state

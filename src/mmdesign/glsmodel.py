@@ -174,7 +174,6 @@ class Evaluator:
         s = drift_matrix(self.scans_per_run, drift.order)
         if noise.runs == 2:
             s = _block_diag(s, s)
-        self.n_scans = s.shape[0]
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
         self.width = noise.runs * self.hrf_length  # columns per type block
@@ -206,17 +205,14 @@ class Evaluator:
                 f"design (q={d.q_types}, L={len(d)}, isi={d.isi}) does not match "
                 f"evaluator (q={self.q_types}, L={self.n_slots}, isi={self.isi})")
 
-    def type_blocks(self, d: Design) -> list[np.ndarray]:
-        """Per-type design-matrix blocks, stacked block-diagonally over runs."""
+    def residualized(self, d: Design) -> np.ndarray:
+        """Whitened, drift-residualized design columns (n_scans x Q*width);
+        each type's block is stacked block-diagonally over runs."""
         self._check(d)
         blocks = design_matrix(d, self.tr)
-        if self.noise.runs == 1:
-            return list(blocks)
-        return [_block_diag(x, x) for x in blocks]
-
-    def residualized(self, d: Design) -> np.ndarray:
-        """Whitened, drift-residualized design columns (n_scans x Q*width)."""
-        return self._residualize(np.hstack(self.type_blocks(d)))
+        if self.noise.runs == 2:
+            blocks = [_block_diag(x, x) for x in blocks]
+        return self._residualize(np.hstack(blocks))
 
     def gram(self, d: Design) -> np.ndarray:
         u = self.residualized(d)
@@ -227,32 +223,8 @@ class Evaluator:
         """(width, 3) columns: heights, d/dp1, d/dp6, stacked over run offsets."""
         return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
-    # -- explicit matrices (single points; used by contracts and tests) ----
-
-    def e_matrix(self, d: Design, p: HrfParams) -> np.ndarray:
-        blocks = self.type_blocks(d)
-        h = self.bundle(p)[:, 0]
-        return self._residualize(np.column_stack([x @ h for x in blocks]))
-
-    def l_matrix(self, d: Design, theta, p: HrfParams) -> np.ndarray:
-        blocks = self.type_blocks(d)
-        w = self.bundle(p)
-        th = np.asarray(theta, dtype=float)
-        if th.shape != (self.q_types,):
-            raise ConfigurationError(
-                f"theta must have {self.q_types} components (got shape {th.shape})")
-        cols = []
-        for j in (1, 2):  # derivative columns of the bundle
-            acc = np.zeros(self.n_scans)
-            for q, x in enumerate(blocks):
-                if th[q] != 0.0:
-                    acc = acc + th[q] * (x @ w[:, j])
-            cols.append(acc)
-        return self._residualize(np.column_stack(cols))
-
     def info_matrix(self, d: Design, theta, p: HrfParams) -> np.ndarray:
-        phi, m = self._phi_from_gram(self.gram(d), [tuple(np.asarray(theta, dtype=float))], [p],
-                                     want_matrices=True)
+        _, m = self._phi_from_gram(self.gram(d), [tuple(np.asarray(theta, dtype=float))], [p])
         return m[0, 0]
 
     def phi_a(self, d: Design, theta, p: HrfParams) -> float:
@@ -283,7 +255,8 @@ class Evaluator:
         self._recent_stack = (ps, stacked)
         return stacked
 
-    def _phi_from_gram(self, y: np.ndarray, thetas, ps, want_matrices: bool = False):
+    def _phi_from_gram(self, y: np.ndarray, thetas, ps):
+        """(values, M): A-criterion values and information matrices over the product grid."""
         q, w = self.q_types, self.width
         ps = ps if isinstance(ps, tuple) else tuple(ps)
         th = np.asarray(list(thetas), dtype=float)
@@ -293,8 +266,7 @@ class Evaluator:
             raise ConfigurationError(f"thetas must be (n, {q}) (got {th.shape})")
         n_t, n_p = th.shape[0], len(ps)
         if n_t == 0 or n_p == 0:
-            empty = np.empty((n_t, n_p))
-            return empty, (np.empty((n_t, n_p, q, q)) if want_matrices else None)
+            return np.empty((n_t, n_p)), np.empty((n_t, n_p, q, q))
         flat, w_t = self._stacked_bundles(ps)
         # z[a, u, b, p, j] = sum_v Y[a, u, b, v] W_p[v, j]: one GEMM for all p
         z = (y.reshape(q * w * q, w) @ flat).reshape(q, w, q, n_p, 3)
@@ -316,8 +288,7 @@ class Evaluator:
         corr = e1[..., :, None] * f1 + e2[..., :, None] * f2
         m = a00[None, :, :, :] - corr
         m = 0.5 * (m + np.transpose(m, (0, 1, 3, 2)))
-        out = _phi_batch(m)
-        return out, (m if want_matrices else None)
+        return _phi_batch(m), m
 
 
 def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

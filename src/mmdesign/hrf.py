@@ -10,7 +10,7 @@ The normalizing constant is the exact maximum over the canonical 0.001 s
 scan of [0, 32] s, found by a windowed scan (see ``_norm_info``).  Sampled
 heights and their two parameter partials come from ``hrf_bundle``, which
 evaluates the p points of a grid together, in vectorized passes of 64
-points; ``sample_hrf`` and ``hrf_partial`` are its one-point case.
+points; ``Evaluator.bundle`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -153,34 +153,6 @@ def default_hrf_length(delta_t: float) -> int:
     if delta_t <= 0:
         raise ConfigurationError(f"delta_t must be positive (got {delta_t})")
     return 1 + int(math.floor(HRF_WINDOW / delta_t + 1e-9))
-
-
-def sample_hrf(p: HrfParams, delta_t: float, offset: float = 0.0,
-               length: int | None = None) -> np.ndarray:
-    """Read-only heights of the normalized curve at offset + j*delta_t,
-    j = 0..length-1."""
-    if length is None:
-        length = default_hrf_length(delta_t)
-    if length < 1:
-        raise ConfigurationError(f"length must be >= 1 (got {length})")
-    return hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length)[0, :, 0]
-
-
-def hrf_partial(p: HrfParams, which: str, delta_t: float, offset: float = 0.0,
-                length: int | None = None) -> np.ndarray:
-    """Partial derivative of the sampled normalized heights w.r.t. p1 or p6.
-
-    Central finite differences with step 1e-5 on the *normalized* curve, so
-    the derivative of the normalizing denominator is captured.  For p6 the
-    perturbed curve may use a slightly negative onset shift; the curve stays
-    well-defined (zero before onset).
-    """
-    if which not in ("p1", "p6"):
-        raise ConfigurationError(f"which must be 'p1' or 'p6' (got {which!r})")
-    if length is None:
-        length = default_hrf_length(delta_t)
-    col = 1 if which == "p1" else 2
-    return np.array(hrf_bundle((p.p1,), (p.p6,), delta_t, (offset,), length)[0, :, col])
 
 
 @lru_cache(maxsize=65536)

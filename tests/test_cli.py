@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_generate_block(tmp_path, capsys):
     rc = main(["generate", "block", "--q", "1", "--length", "16", "--isi", "4",
                "--block-size", "4", "-o", out])
     assert rc == 0
-    assert open(out).read() == "0 0 0 0 1 1 1 1 0 0 0 0 1 1 1 1\n"
+    assert Path(out).read_text() == "0 0 0 0 1 1 1 1 0 0 0 0 1 1 1 1\n"
 
 
 def test_generate_mseq_reports_recurrence(tmp_path, capsys):
@@ -136,7 +137,7 @@ def test_generate_random_is_reproducible(tmp_path):
             "--seed", "9"]
     assert main(args + ["-o", a]) == 0
     assert main(args + ["-o", b]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_generate_constrained_random(tmp_path):
@@ -145,7 +146,7 @@ def test_generate_constrained_random(tmp_path):
                "--isi", "2.5", "--seed", "0", "-o", out])
     assert rc == 0
     d = load_design(out, q_types=1, isi=2.5)
-    assert d.onset_count(1) == 66
+    assert d.labels.count(1) == 66
 
 
 def test_generate_cyclic(tmp_path):
@@ -154,7 +155,7 @@ def test_generate_cyclic(tmp_path):
     rc = main(["generate", "cyclic", "--q", "2", "--length", "6", "--isi", "4",
                "--short", short, "-o", out])
     assert rc == 0
-    assert open(out).read() == "1 0 2 2 0 1\n"
+    assert Path(out).read_text() == "1 0 2 2 0 1\n"
 
 
 def test_generate_cyclic_needs_short(tmp_path, capsys):
@@ -169,7 +170,7 @@ def test_generate_json_format(tmp_path):
     rc = main(["generate", "block", "--q", "2", "--length", "10", "--isi", "4",
                "--block-size", "4", "-o", out])
     assert rc == 0
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert obj["labels"] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
     d = load_design(out)
     assert d.q_types == 2 and d.isi == 4.0
@@ -314,6 +315,36 @@ def test_exit_code_infinite_tr(tmp_path):
     assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--tr", "inf"]), 2)
 
 
+@pytest.mark.parametrize("args", [
+    ["evaluate", "DESIGN", "--q", "1", "--length", "8", "--tr", "1e-10"],
+    ["evaluate", "DESIGN", "--q", "1", "--length", "8", "--isi", "1e-10"],
+    ["search-maximin", "--q", "1", "--length", "8", "--tr", "1e-10"],
+])
+def test_exit_code_timing_rounding_to_zero(tmp_path, args):
+    # an ISI or TR below the 1e-9 tolerance has no rational common measure
+    design = write_design(tmp_path, [1, 0] * 4)
+    args = [design if a == "DESIGN" else a for a in args]
+    result = run_cli([*args, "--out", str(tmp_path / "out")])
+    assert_clean_exit(result, 2)
+    assert "no rational common measure" in result[1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("labels", "1201"), ("labels", [1, 1.7, 0, 1]), ("labels", [1, True, 0, 1]),
+    ("q", 2.9), ("q", True), ("isi", "4"), ("isi", math.nan),
+])
+def test_exit_code_mistyped_json_design(tmp_path, field, value):
+    # a JSON design's fields are checked, not coerced: a string of labels, a
+    # fractional or bool q or label, a string or NaN isi each exit 3 naming it
+    obj = {"q": 2, "isi": 4.0, "labels": [1, 2, 0, 1], field: value}
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(obj), encoding="utf-8")
+    result = run_cli(["evaluate", str(design), "--config", write_config(tmp_path, q_types=2,
+                                                                        length=4)])
+    assert_clean_exit(result, 3)
+    assert repr(field) in result[1]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "search-maximin"])
 @pytest.mark.parametrize("key, value", [("phi_step", 0), ("phi_step", -0.1),
                                         ("phi_step", math.nan), ("p_step", math.nan),
@@ -334,7 +365,7 @@ def test_exit_code_bad_grid_step_or_run_shift(tmp_path, command, key, value):
 def test_exit_code_malformed_table_row(tmp_path, fault):
     cfg = write_config(tmp_path)
     table = make_tiny_table(tmp_path, cfg)
-    rows = json.loads(open(table, encoding="utf-8").read())
+    rows = json.loads(Path(table).read_text(encoding="utf-8"))
     if fault == "missing_key":
         del rows[3]["p"]
     else:
@@ -515,17 +546,17 @@ def test_build_table_writes_and_merges(tmp_path, capsys):
     table_path = str(tmp_path / "out" / "table.json")
     rc = main(["build-table", "--config", cfg, "--budget", "30"])
     assert rc == 0
-    raw = json.loads(open(table_path).read())
+    raw = json.loads(Path(table_path).read_text())
     assert isinstance(raw, list)
     grid = make_grid(1, "search", include_zero=True, p_step=1.5,
                      phi_step=0.25 * math.pi)
     assert len(raw) == grid.n_points
-    first = open(table_path, "rb").read()
+    first = Path(table_path).read_bytes()
     capsys.readouterr()
     rc = main(["build-table", "--config", cfg, "--budget", "30"])
     assert rc == 0
     assert "merging into existing table" in capsys.readouterr().out
-    assert open(table_path, "rb").read() == first
+    assert Path(table_path).read_bytes() == first
 
 
 def test_build_table_threads_do_not_change_table(tmp_path):

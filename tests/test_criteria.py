@@ -301,16 +301,16 @@ def test_table_missing_and_covers():
 
 
 def test_table_merge_keeps_best():
-    t1 = LocalOptTable(q_types=1, isi=4.0)
-    t2 = LocalOptTable(q_types=1, isi=4.0)
+    # put is the merge: the larger value at a point stays, a new point is added
+    table = LocalOptTable(q_types=1, isi=4.0)
     d = random_design(1, 9, 4.0, seed=34)
     p = HrfParams(6.0, 0.0)
-    t1.put((1.0,), p, 2.0, d)
-    t2.put((1.0,), p, 3.0, d)
-    t2.put((1.0,), HrfParams(7.0, 0.0), 1.0, d)
-    t1.merge(t2)
-    assert t1.value((1.0,), p) == 3.0
-    assert len(t1) == 2
+    assert table.put((1.0,), p, 2.0, d)
+    assert table.put((1.0,), p, 3.0, d)
+    assert not table.put((1.0,), p, 2.5, d)
+    assert table.put((1.0,), HrfParams(7.0, 0.0), 1.0, d)
+    assert table.value((1.0,), p) == 3.0
+    assert len(table) == 2
 
 
 def test_table_save_load_round_trip(tmp_path):

@@ -57,6 +57,10 @@ def test_delta_t_rejects_incommensurate():
         delta_t(0.0, 2.0)
     with pytest.raises(ConfigurationError):
         delta_t(2.0, -1.0)
+    # below 1e-9 a value approximates to 0/1 within the tolerance: no measure
+    for isi, tr in ((4.0, 1e-10), (1e-10, 2.0), (4e-10, 1e-10)):
+        with pytest.raises(ConfigurationError, match="no rational common measure"):
+            delta_t(isi, tr)
 
 
 @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([0.25, 0.5, 1.0]))
@@ -82,7 +86,7 @@ def test_design_validation():
 
 def test_design_counts_and_text():
     d = Design(labels=(1, 0, 2, 1), q_types=2, isi=4.0)
-    assert d.onset_count(1) == 2 and d.onset_count(2) == 1 and d.onset_count(0) == 1
+    assert d.labels.count(1) == 2 and d.labels.count(2) == 1 and d.labels.count(0) == 1
     assert d.to_text() == "1 0 2 1\n"
     assert len(d) == 4
 
@@ -100,7 +104,8 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "d.json"
     save_design(d, path, fmt="json")
     assert load_design(path) == d
-
+    path.write_text('{"q": 2, "isi": 4, "labels": [1, 0, 2]}', encoding="utf-8")
+    assert load_design(path) == Design(labels=(1, 0, 2), q_types=2, isi=4.0)
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(InputParseError, match="line 1"):
@@ -137,7 +142,7 @@ def test_random_design_reproducible_and_uniform():
 
 def test_constrained_random_composition_and_gap():
     d = constrained_random(132, 0.5, (4.9, 5.1), isi=2.5, seed=0)
-    assert d.onset_count(0) == 66 and d.onset_count(1) == 66
+    assert d.labels.count(0) == 66 and d.labels.count(1) == 66
     onsets = np.nonzero(np.array(d.labels) == 1)[0]
     mean_gap = float(np.mean(np.diff(onsets))) * 2.5
     assert 4.9 <= mean_gap <= 5.1
@@ -195,8 +200,6 @@ def test_m_sequence_rejects_non_primitive():
         m_sequence(6, 2)
     with pytest.raises(ConfigurationError):
         m_sequence(2, 3, primitive_poly=(1, 1))
-    with pytest.raises(ConfigurationError):
-        m_sequence(2, 3, init_state=(0, 0, 0))
 
 
 def test_extend_wraps_cyclically():

@@ -18,7 +18,6 @@ from mmdesign.glsmodel import (
     Evaluator,
     NoiseSpec,
     drift_matrix,
-    evaluator_for,
     info_matrix,
     phi_a,
     phi_from_info,
@@ -140,21 +139,15 @@ def test_projection_idempotent_symmetric(seed):
 
 
 # -- E matrix -----------------------------------------------------------------
-
-def e_matrix(d, p, noise, drift, tr):
-    return evaluator_for(d, tr, noise, drift).e_matrix(d, p)
-
-
-def l_matrix(d, theta, p, noise, drift, tr):
-    return evaluator_for(d, tr, noise, drift).l_matrix(d, theta, p)
-
+# E = [I - w{VS}] V X (I_Q kron h): the residualized columns times the heights
 
 def test_e_matrix_hand_case_single_onset():
     # one onset at slot 0, white noise, constant drift: the single column is
     # the response sampled every 2 s, truncated past the window, then centered
     labels = tuple(1 if i == 0 else 0 for i in range(9))
     d = Design(labels=labels, q_types=1, isi=4.0)
-    e = e_matrix(d, HrfParams(6.0, 0.0), NoiseSpec(rho=0.0), DriftSpec(order=0), tr=2.0)
+    ev = make_eval(q=1, length=9, rho=0.0, order=0)
+    e = ev.residualized(d) @ ev.bundle(HrfParams(6.0, 0.0))[:, :1]
     assert e.shape == (18, 1)
     samples = np.zeros(18)
     samples[:17] = g_normalized(np.arange(17) * 2.0, HrfParams(6.0, 0.0))
@@ -163,65 +156,17 @@ def test_e_matrix_hand_case_single_onset():
 
 def test_e_matrix_zero_for_rest_only_design():
     d = Design(labels=(0,) * 8, q_types=2, isi=4.0)
-    e = e_matrix(d, HrfParams(6.0, 0.0), NoiseSpec(), DriftSpec(), tr=2.0)
-    assert e.shape == (16, 2)
-    assert not np.any(e)
+    u = make_eval(q=2, length=8).residualized(d)
+    assert u.shape == (16, 2 * 17)
+    assert not np.any(u)
 
 
 def test_e_matrix_orthogonal_to_whitened_drift():
     d = random_design(2, 30, 4.0, seed=7)
-    noise, drift = NoiseSpec(rho=0.3), DriftSpec(order=2)
-    e = e_matrix(d, HrfParams(7.0, 1.0), noise, drift, tr=2.0)
+    u = make_eval(q=2, length=30, rho=0.3, order=2).residualized(d)
     v = whitening_matrix(60, 0.3)
     s = drift_matrix(60, 2)
-    assert np.max(np.abs((v @ s).T @ e)) < 1e-9
-
-
-def test_e_matrix_matches_reference():
-    d = random_design(2, 24, 4.0, seed=8)
-    e = e_matrix(d, HrfParams(6.8, 0.4), NoiseSpec(rho=0.3), DriftSpec(order=2), tr=2.0)
-    want, _, _ = ref_model_matrices(list(d.labels), 2, 4.0, 2.0, 0.3, 2,
-                                    (1.0, 0.0), 6.8, 0.4)
-    np.testing.assert_allclose(e, want, rtol=1e-9, atol=1e-12)
-
-
-# -- L matrix -----------------------------------------------------------------
-
-def test_l_matrix_zero_amplitudes():
-    d = random_design(2, 20, 4.0, seed=9)
-    l = l_matrix(d, (0.0, 0.0), HrfParams(6.0, 0.0), NoiseSpec(), DriftSpec(), tr=2.0)
-    assert l.shape == (40, 2)
-    assert not np.any(l)
-
-
-def test_l_matrix_linear_in_amplitudes():
-    d = random_design(2, 20, 4.0, seed=10)
-    p = HrfParams(7.5, 0.9)
-    args = (p, NoiseSpec(rho=0.3), DriftSpec(order=2), 2.0)
-    la = l_matrix(d, (0.7, -0.2), *args)
-    lb = l_matrix(d, (0.1, 0.5), *args)
-    lc = l_matrix(d, (0.7 + 2 * 0.1, -0.2 + 2 * 0.5), *args)
-    np.testing.assert_allclose(lc, la + 2 * lb, atol=1e-12)
-
-
-def test_l_matrix_selects_active_type():
-    d = random_design(2, 20, 4.0, seed=11)
-    p = HrfParams(6.0, 0.0)
-    args = (p, NoiseSpec(rho=0.3), DriftSpec(order=2), 2.0)
-    only1 = l_matrix(d, (1.0, 0.0), *args)
-    only2 = l_matrix(d, (0.0, 1.0), *args)
-    both = l_matrix(d, (1.0, 1.0), *args)
-    np.testing.assert_allclose(both, only1 + only2, atol=1e-12)
-
-
-def test_l_matrix_matches_reference():
-    d = random_design(2, 24, 4.0, seed=12)
-    theta = (0.8, 0.6)
-    l = l_matrix(d, theta, HrfParams(6.8, 0.4), NoiseSpec(rho=0.3), DriftSpec(order=2),
-                 tr=2.0)
-    _, want, _ = ref_model_matrices(list(d.labels), 2, 4.0, 2.0, 0.3, 2,
-                                    theta, 6.8, 0.4)
-    np.testing.assert_allclose(l, want, rtol=1e-7, atol=1e-10)
+    assert np.max(np.abs((v @ s).T @ u)) < 1e-9
 
 
 # -- information matrix and criterion ------------------------------------------
@@ -231,7 +176,7 @@ def test_info_matrix_at_zero_is_gram_of_e():
     p = HrfParams(7.0, 1.0)
     noise, drift = NoiseSpec(rho=0.3), DriftSpec(order=2)
     m = info_matrix(d, (0.0, 0.0), p, noise, drift, tr=2.0).m
-    e = e_matrix(d, p, noise, drift, tr=2.0)
+    e, _, _ = ref_model_matrices(list(d.labels), 2, 4.0, 2.0, 0.3, 2, (0.0, 0.0), 7.0, 1.0)
     np.testing.assert_allclose(m, e.T @ e, atol=1e-10)
 
 
@@ -388,13 +333,14 @@ def test_information_dominated_by_gram_of_e(q, seed, runs, p1, p6, zero):
     d = random_design(q, 12, 2.5, seed=seed)
     theta = np.zeros(q) if zero else rng.normal(size=q)
     p = HrfParams(p1, p6)
-    e = ev.e_matrix(d, p)
+    e, _, _ = ref_model_matrices(list(d.labels), q, 2.5, 2.5, 0.3, 2, theta, p1, p6,
+                                 runs=runs)
     ete = e.T @ e
     m = ev.info_matrix(d, theta, p)
     gap = np.linalg.eigvalsh(ete - m)
     assert gap[0] >= -1e-9 * np.linalg.norm(ete, 2)
     # E'E as the Gram path gives it: M at the zero direction, where L = 0.
-    # The explicit E'E above differs from it by rounding, which phi_A can
+    # The reference E'E above differs from it by rounding, which phi_A can
     # amplify by the condition number (1.4e-9 relative at rcond 2e-11).
     ete_gram = ev.info_matrix(d, np.zeros(q), p)
     assert 0.0 <= phi_from_info(m) <= phi_from_info(ete_gram)

@@ -19,9 +19,7 @@ from mmdesign.hrf import (
     g_raw,
     gamma_pdf,
     hrf_bundle,
-    hrf_partial,
     normalizing_max,
-    sample_hrf,
 )
 
 from reference import ref_hrf, ref_hrf_partial
@@ -134,12 +132,17 @@ def test_default_hrf_length():
     assert default_hrf_length(1.0) == 33
 
 
+def one_point(p1, p6, delta, offset=0.0):
+    """One point's (length, 3) bundle: heights, d/dp1, d/dp6."""
+    return hrf_bundle((p1,), (p6,), delta, (offset,), default_hrf_length(delta))[0]
+
+
 def test_sample_hrf_shapes_and_offsets():
     p = HrfParams(6.0, 0.0)
-    v = sample_hrf(p, 2.0)
+    v = one_point(6.0, 0.0, 2.0)[:, 0]
     assert v.shape == (17,)
     assert v[0] == 0.0
-    v2 = sample_hrf(p, 2.5, offset=1.25)
+    v2 = one_point(6.0, 0.0, 2.5, offset=1.25)[:, 0]
     assert v2.shape == (13,)
     # offset samples are the curve at offset + j*delta
     t = 1.25 + np.arange(13) * 2.5
@@ -149,7 +152,7 @@ def test_sample_hrf_shapes_and_offsets():
 
 def test_sample_hrf_matches_reference():
     for p1, p6 in ((6.0, 0.0), (7.2, 1.1), (9.0, 2.0)):
-        got = sample_hrf(HrfParams(p1, p6), 2.0)
+        got = one_point(p1, p6, 2.0)[:, 0]
         want = ref_hrf(p1, p6, 2.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -159,14 +162,13 @@ def test_partial_p6_equals_negative_time_derivative():
     # central time difference at the same step
     p = HrfParams(7.0, 1.0)
     t = np.arange(17) * 2.0
-    got = hrf_partial(p, "p6", 2.0)
+    got = one_point(7.0, 1.0, 2.0)[:, 2]
     manual = -(g_normalized(t + FD_STEP, p) - g_normalized(t - FD_STEP, p)) / (2 * FD_STEP)
     np.testing.assert_allclose(got, manual, rtol=1e-9, atol=1e-12)
 
 
 def test_partials_match_reference_same_step():
-    for which in ("p1", "p6"):
-        got = hrf_partial(HrfParams(6.4, 0.3), which, 2.0)
+    for which, got in zip(("p1", "p6"), one_point(6.4, 0.3, 2.0)[:, 1:].T):
         want = ref_hrf_partial(6.4, 0.3, which, 2.0, eps=FD_STEP)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-11)
 
@@ -178,11 +180,6 @@ def test_partials_converged_in_step():
         coarse = ref_hrf_partial(7.7, 1.9, which, 2.0, eps=1e-5)
         fine = ref_hrf_partial(7.7, 1.9, which, 2.0, eps=1e-6)
         np.testing.assert_allclose(coarse, fine, rtol=1e-5, atol=1e-8)
-
-
-def test_partial_rejects_unknown_parameter():
-    with pytest.raises(ConfigurationError):
-        hrf_partial(HrfParams(6.0, 0.0), "p2", 2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,19 +195,16 @@ def test_bundle_layout_and_caching():
     arr = hrf_bundle((6.5,), (0.5,), 2.0, (0.0,), 17)
     assert arr.shape == (1, 17, 3)
     assert not arr.flags.writeable
-    p = HrfParams(6.5, 0.5)
-    np.testing.assert_array_equal(arr[0, :, 0], sample_hrf(p, 2.0))
-    np.testing.assert_array_equal(arr[0, :, 1], hrf_partial(p, "p1", 2.0))
-    np.testing.assert_array_equal(arr[0, :, 2], hrf_partial(p, "p6", 2.0))
+    t = np.arange(17) * 2.0
+    np.testing.assert_array_equal(arr[0, :, 0], g_normalized(t, HrfParams(6.5, 0.5)))
     assert hrf_bundle((6.5,), (0.5,), 2.0, (0.0,), 17) is arr
 
 
 def test_bundle_two_offsets_stacks_runs():
     arr = hrf_bundle((6.0,), (0.0,), 2.5, (0.0, 1.25), 13)
     assert arr.shape == (1, 26, 3)
-    p = HrfParams(6.0, 0.0)
-    np.testing.assert_array_equal(arr[0, :13, 0], sample_hrf(p, 2.5))
-    np.testing.assert_array_equal(arr[0, 13:, 0], sample_hrf(p, 2.5, offset=1.25))
+    np.testing.assert_array_equal(arr[0, :13, 0], one_point(6.0, 0.0, 2.5)[:, 0])
+    np.testing.assert_array_equal(arr[0, 13:, 0], one_point(6.0, 0.0, 2.5, offset=1.25)[:, 0])
 
 
 @pytest.mark.parametrize("preset", ["search", "comparison"])
