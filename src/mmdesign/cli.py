@@ -42,8 +42,8 @@ from .search import (GaConfig, SearchResult, ga_search, maximin_objective,
 from .util import (fmt_float, is_finite_number, mean_and_stderr, parallel_map,
                    resolve_threads)
 
-_GA_FIELDS = {"population_size", "max_evaluations", "max_generations",
-              "crossover_pairs", "mutation_rate", "immigrant_count"}
+_GA_FIELDS = {"population_size", "max_evaluations", "crossover_pairs", "mutation_rate",
+              "immigrant_count"}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -380,10 +380,19 @@ def cmd_generate(args) -> int:
 # searches
 # ---------------------------------------------------------------------------
 
-def _search_seeds(cfg: ExperimentConfig, objective, threads: int) -> list[SearchResult]:
-    """One search per seed, up to `threads` at once, in seed order."""
-    return parallel_map(lambda seed: ga_search(objective, cfg.ga_config(seed)),
-                        cfg.seeds, threads)
+def _search_and_report(cfg: ExperimentConfig, objective, threads: int, grid: ParamGrid,
+                       table: LocalOptTable | None = None
+                       ) -> tuple[list[SearchResult], list[MinResult]]:
+    """One search per seed, up to `threads` at once, in seed order, and each
+    best design's worst case on `grid`: min_phi_a, or min_re against `table`."""
+    results = parallel_map(lambda seed: ga_search(objective, cfg.ga_config(seed)),
+                           cfg.seeds, threads)
+    noise, drift = cfg.noise(), cfg.drift()
+    if table is None:
+        return results, [min_phi_a(r.best_design, grid, cfg.tr, noise, drift, cfg.run_shift)
+                         for r in results]
+    return results, [min_re(r.best_design, grid, table, cfg.tr, noise, drift, cfg.run_shift)
+                     for r in results]
 
 
 def _finish_search(cfg: ExperimentConfig, run: _RunClock, results: list[SearchResult],
@@ -429,11 +438,8 @@ def cmd_search_maximin(args) -> int:
     cfg = config_from_args(args)
     run = _RunClock(args)
     objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
-    results = _search_seeds(cfg, objective, run.threads)
-    report_grid = cfg.make_grid()
+    results, reports = _search_and_report(cfg, objective, run.threads, cfg.make_grid())
     noise, drift = cfg.noise(), cfg.drift()
-    reports = [min_phi_a(r.best_design, report_grid, cfg.tr, noise, drift, cfg.run_shift)
-               for r in results]
     with_rg = cfg.q_types >= 2 and cfg.region == "theta0"
     rg_ps = p_grid(COMPARISON_P_STEP) if with_rg else ()
     extras = [{"min_rg": min_rg(r.best_design, rg_ps, cfg.tr, noise, drift,
@@ -450,10 +456,7 @@ def cmd_search_mme(args) -> int:
     table = _load_table(cfg.table, cfg)
     grid = cfg.make_grid("search", include_zero=True)
     objective = mme_objective(cfg.evaluator(), grid, table)
-    results = _search_seeds(cfg, objective, run.threads)
-    noise, drift = cfg.noise(), cfg.drift()
-    reports = [min_re(r.best_design, grid, table, cfg.tr, noise, drift, cfg.run_shift)
-               for r in results]
+    results, reports = _search_and_report(cfg, objective, run.threads, grid, table)
     return _finish_search(cfg, run, results, "min_re", reports, [{} for _ in results],
                           {"table": cfg.table, "table_entries": len(table)})
 
@@ -552,7 +555,6 @@ def cmd_example_miezin(args) -> int:
     cfg = replace(cfg, q_types=1, length=132, isi=2.5, tr=2.5, runs=2,
                   run_shift=1.25, drift_order=2, region="theta0")
     run = _RunClock(args)
-    drift = cfg.drift()
     search_grid = cfg.make_grid("search")
     report_grid = cfg.make_grid()
 
@@ -561,9 +563,9 @@ def cmd_example_miezin(args) -> int:
     def report_values(d: Design) -> np.ndarray:
         return ev.phi_a_grid(d, report_grid.thetas, report_grid.ps)
 
-    results = _search_seeds(cfg, maximin_objective(ev, search_grid), run.threads)
-    seed_values = [report_values(r.best_design) for r in results]
-    best_idx = _best_index([float(v.min()) for v in seed_values])
+    results, reports = _search_and_report(cfg, maximin_objective(ev, search_grid),
+                                          run.threads, report_grid)
+    best_idx = _best_index([mr.value for mr in reports])
     d_star = results[best_idx].best_design
 
     # competing designs, each with its values on the report grid: alternating
@@ -572,7 +574,7 @@ def cmd_example_miezin(args) -> int:
     # onset gap near 5 s)
     block = block_design(1, 6, cfg.length, cfg.isi)
     mseq = m_sequence_design(1, cfg.length, cfg.isi)
-    competitors = {"maximin": (d_star, seed_values[best_idx]),
+    competitors = {"maximin": (d_star, report_values(d_star)),
                    "block": (block, report_values(block)),
                    "mseq": (mseq, report_values(mseq))}
     rand_seeds = np.random.SeedSequence(cfg.seeds[0]).spawn(args.n_random)
@@ -592,20 +594,17 @@ def cmd_example_miezin(args) -> int:
     # robustness: how much of the rho-matched optimum the rho=0.3 design keeps
     robustness = {}
     for rho_alt in (0.0, 0.5):
-        noise_alt = NoiseSpec(rho=rho_alt, runs=2)
         cfg_alt = replace(cfg, rho=rho_alt)
-        ev_alt = cfg_alt.evaluator()
-        obj_alt = maximin_objective(ev_alt, search_grid)
-        res_alt = _search_seeds(cfg_alt, obj_alt, run.threads)
-        fin_alt = [min_phi_a(r.best_design, report_grid, cfg.tr, noise_alt, drift,
-                             cfg.run_shift).value for r in res_alt]
-        alt_idx = _best_index(fin_alt)
-        own = min_phi_a(d_star, report_grid, cfg.tr, noise_alt, drift,
+        _, reports_alt = _search_and_report(
+            cfg_alt, maximin_objective(cfg_alt.evaluator(), search_grid), run.threads,
+            report_grid)
+        matched = reports_alt[_best_index([mr.value for mr in reports_alt])].value
+        own = min_phi_a(d_star, report_grid, cfg.tr, cfg_alt.noise(), cfg.drift(),
                         cfg.run_shift).value
         robustness[f"rho_{fmt_float(rho_alt)}"] = {
-            "matched_min_phi_a": fin_alt[alt_idx],
+            "matched_min_phi_a": matched,
             "design_min_phi_a": own,
-            "retained_fraction": own / fin_alt[alt_idx],
+            "retained_fraction": own / matched,
         }
 
     summary = {

@@ -34,6 +34,7 @@ COMPARISON_P_STEP = 0.1
 COMPARISON_PHI_STEP = 0.05 * math.pi
 
 _KEY_DIGITS = 9
+MAX_AXIS_VALUES = 1000  # values allowed on one grid axis; the finest preset has 31
 
 
 def angles_to_theta(phi) -> tuple[float, ...]:
@@ -103,14 +104,18 @@ def canonical_direction(theta) -> tuple[float, ...]:
     return tuple(float(round(x, _KEY_DIGITS)) + 0.0 for x in u)
 
 
-def _check_step(step: float) -> None:
+def _check_step(name: str, step: float, span: float) -> None:
+    """Reject a step that is not finite and positive, or that cuts an axis of
+    length `span` into more than about MAX_AXIS_VALUES values."""
     if not (math.isfinite(step) and step > 0):
-        raise ConfigurationError(f"grid step must be finite and positive (got {step})")
+        raise ConfigurationError(f"grid step {name} must be finite and positive (got {step})")
+    if span / step >= MAX_AXIS_VALUES:
+        raise ConfigurationError(f"grid step {name} = {step} puts more than {MAX_AXIS_VALUES} "
+                                 f"values on an axis of length {span:.6g}")
 
 
 def _axis(start: float, stop: float, step: float) -> list[float]:
     """start, start+step, ... capped at stop; stop always included."""
-    _check_step(step)
     vals = []
     k = 0
     while True:
@@ -127,6 +132,7 @@ def _axis(start: float, stop: float, step: float) -> list[float]:
 def p_grid(p_step: float) -> tuple[HrfParams, ...]:
     """Product grid over the HRF-parameter box, anchored at the lower corner,
     upper endpoints always included."""
+    _check_step("p_step", p_step, max(P1_RANGE[1] - P1_RANGE[0], P6_RANGE[1] - P6_RANGE[0]))
     p1s = _axis(P1_RANGE[0], P1_RANGE[1], p_step)
     p6s = _axis(P6_RANGE[0], P6_RANGE[1], p_step)
     return tuple(HrfParams(p1=a, p6=b) for a in p1s for b in p6s)
@@ -148,7 +154,7 @@ def _centered_offsets(bound: float, step: float) -> list[float]:
 def full_theta_grid(q: int, phi_step: float) -> tuple[tuple[float, ...], ...]:
     """Hemisphere grid: each angle ranges over (-pi/2, pi/2], anchored so
     pi/2 is on the grid; duplicate directions are removed."""
-    _check_step(phi_step)
+    _check_step("phi_step", phi_step, math.pi if q > 1 else 0.0)
     if q < 1:
         raise ConfigurationError(f"q must be >= 1 (got {q})")
     if q == 1:
@@ -180,7 +186,7 @@ def theta0_grid(q: int, phi_step: float) -> tuple[tuple[float, ...], ...]:
     and b from max(kappa(a), 0) to pi/4, where cos kappa = cot a once a exceeds
     pi/4.  Points sit at half-step offsets, region endpoints always included.
     """
-    _check_step(phi_step)
+    _check_step("phi_step", phi_step, 0.5 * math.pi if q > 1 else 0.0)  # Q=3's axes are shorter
     if q == 1:
         return ((1.0,),)
     if q == 2:

@@ -17,13 +17,18 @@ M is singular or near-singular.
 
 The evaluator reduces each design to a Gram matrix Y of its residualized
 columns.  Residualizing never forms an n x n operator: V is lower-bidiagonal,
-so V X is one shifted subtraction per run, and the drift projector is the
-identity minus Qs Qs' for a thin orthonormal basis Qs of V S.  Everything
-after the Gram matrix is Q x Q algebra: one matrix product of Y with the
-stacked HRF bundles of all p points, one batched product over p, and
-closed-form 2 x 2 pseudo-inverses for the nuisance block.  `hrf.hrf_bundle`
-builds a grid's HRF bundles in one vectorized pass and caches them by value;
-the evaluator keeps the last grid's, stacked.
+so V X is one shifted subtraction, and the drift projector is the identity
+minus Qs Qs' for a thin orthonormal basis Qs of V S.  Everything after the
+Gram matrix is Q x Q algebra: one matrix product of Y with the stacked HRF
+bundles of all p points, one batched product over p, and closed-form 2 x 2
+pseudo-inverses for the nuisance block.  `hrf.hrf_bundle` builds a grid's HRF
+bundles in one vectorized pass and caches them by value; the evaluator keeps
+the last grid's, stacked.
+
+Two runs present one sequence, the second with its HRF sampled `run_shift`
+seconds later.  They are independent and share the amplitudes, so E'E, E'L and
+L'L are sums of per-run terms: Y is one run's, and the runs' quadratic forms
+in their own HRF bundles are added before the nuisance pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -132,27 +137,15 @@ def projection(a: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _block_diag(*mats: np.ndarray) -> np.ndarray:
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
 class Evaluator:
     """Criterion evaluation for designs of one fixed configuration.
 
     Configuration = (types, slots, ISI, TR, noise, drift, run shift).  The
     constructor keeps only the AR(1) coefficient and a thin orthonormal basis
-    of the whitened drift columns; each design then yields a Gram matrix from
-    which information matrices at any (theta, p) follow by small quadratic
-    forms.  The stacked HRF bundles of the last grid scored are kept, and
-    `hrf_bundle` caches grids by value.
+    of one run's whitened drift columns; each design then yields one run's
+    Gram matrix, from which information matrices at any (theta, p) follow by
+    small quadratic forms summed over the runs.  The stacked HRF bundles of
+    the last grid scored are kept, and `hrf_bundle` caches grids by value.
     """
 
     def __init__(self, q_types: int, n_slots: int, isi: float, tr: float,
@@ -169,33 +162,23 @@ class Evaluator:
         self.run_shift = run_shift
         self.delta = delta_t(isi, tr)
         self.hrf_length = default_hrf_length(self.delta)
+        # the one place that knows the run count: one HRF sampling per run
         self.offsets = (0.0,) if noise.runs == 1 else (0.0, run_shift)
-        self.scans_per_run = _scan_index(n_slots, isi, tr)[1].shape[0]
-        s = drift_matrix(self.scans_per_run, drift.order)
-        if noise.runs == 2:
-            s = _block_diag(s, s)
+        s = drift_matrix(_scan_index(n_slots, isi, tr)[1].shape[0], drift.order)
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
-        self.width = noise.runs * self.hrf_length  # columns per type block
         self._recent_stack: tuple = (None, None)
 
     # -- drift removal -----------------------------------------------------
 
     def _whiten(self, a: np.ndarray) -> np.ndarray:
-        """V a for the block-diagonal AR(1) whitener: within each run, the
-        first row is scaled by sqrt(1 - rho^2) and every later row has rho
-        times its predecessor subtracted."""
+        """V a for the AR(1) whitener: the first row is scaled by sqrt(1 - rho^2)
+        and every later row has rho times its predecessor subtracted."""
         rho = self.noise.rho
-        runs = a.reshape(self.noise.runs, self.scans_per_run, -1)
-        out = np.empty_like(runs)
-        out[:, 0] = math.sqrt(1.0 - rho * rho) * runs[:, 0]
-        np.subtract(runs[:, 1:], rho * runs[:, :-1], out=out[:, 1:])
-        return out.reshape(a.shape)
-
-    def _residualize(self, a: np.ndarray) -> np.ndarray:
-        """(I - w{VS}) V a for the columns of `a`."""
-        va = self._whiten(a)
-        return va - self.drift_basis @ (self.drift_basis.T @ va)
+        out = np.empty_like(a)
+        out[0] = math.sqrt(1.0 - rho * rho) * a[0]
+        np.subtract(a[1:], rho * a[:-1], out=out[1:])
+        return out
 
     # -- per-design pieces ------------------------------------------------
 
@@ -206,13 +189,11 @@ class Evaluator:
                 f"evaluator (q={self.q_types}, L={self.n_slots}, isi={self.isi})")
 
     def residualized(self, d: Design) -> np.ndarray:
-        """Whitened, drift-residualized design columns (n_scans x Q*width);
-        each type's block is stacked block-diagonally over runs."""
+        """(I - w{VS}) V X: whitened, drift-residualized design columns of one
+        run (n_scans x Q*hrf_length); every run shares them."""
         self._check(d)
-        blocks = design_matrix(d, self.tr)
-        if self.noise.runs == 2:
-            blocks = [_block_diag(x, x) for x in blocks]
-        return self._residualize(np.hstack(blocks))
+        vx = self._whiten(np.hstack(design_matrix(d, self.tr)))
+        return vx - self.drift_basis @ (self.drift_basis.T @ vx)
 
     def gram(self, d: Design) -> np.ndarray:
         u = self.residualized(d)
@@ -220,7 +201,8 @@ class Evaluator:
         return 0.5 * (y + y.T)
 
     def bundle(self, p: HrfParams) -> np.ndarray:
-        """(width, 3) columns: heights, d/dp1, d/dp6, stacked over run offsets."""
+        """(runs*hrf_length, 3) columns: heights, d/dp1, d/dp6, one
+        hrf_length block per run offset."""
         return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
     def info_matrix(self, d: Design, theta, p: HrfParams) -> np.ndarray:
@@ -240,24 +222,26 @@ class Evaluator:
         return out
 
     def _stacked_bundles(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        """Bundles of the p points in the tuple `ps`, built in one pass and
-        stacked two ways: (width, n_p*3) for the product with the Gram matrix
-        and (n_p, 3, width) for the batched product over p.  Only the last
-        tuple's are kept, found by identity, as one (ps, stacked) pair that
-        threads replace whole; other tuples come from `hrf_bundle`'s cache."""
+        """Bundles of the p points in the tuple `ps`, built in one pass, cut
+        into n_s = n_p*runs (hrf_length, 3) slices W_s (point-major) and stacked
+        two ways: (hrf_length, n_s*3) for the product with the Gram matrix and
+        (n_s, 3, hrf_length) for the batched product.  Only the last tuple's
+        are kept, found by identity, as one (ps, stacked) pair that threads
+        replace whole; other tuples come from `hrf_bundle`'s cache."""
         recent_ps, recent = self._recent_stack
         if recent_ps is ps:
             return recent
+        w = self.hrf_length
         w_all = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps),
-                           self.delta, self.offsets, self.hrf_length)  # (n_p, width, 3)
-        flat = np.ascontiguousarray(w_all.transpose(1, 0, 2)).reshape(self.width, -1)
+                           self.delta, self.offsets, w).reshape(-1, w, 3)
+        flat = np.ascontiguousarray(w_all.transpose(1, 0, 2)).reshape(w, -1)
         stacked = (flat, np.ascontiguousarray(w_all.transpose(0, 2, 1)))
         self._recent_stack = (ps, stacked)
         return stacked
 
     def _phi_from_gram(self, y: np.ndarray, thetas, ps):
         """(values, M): A-criterion values and information matrices over the product grid."""
-        q, w = self.q_types, self.width
+        q, w = self.q_types, self.hrf_length
         ps = ps if isinstance(ps, tuple) else tuple(ps)
         th = np.asarray(list(thetas), dtype=float)
         if th.size == 0:
@@ -268,11 +252,12 @@ class Evaluator:
         if n_t == 0 or n_p == 0:
             return np.empty((n_t, n_p)), np.empty((n_t, n_p, q, q))
         flat, w_t = self._stacked_bundles(ps)
-        # z[a, u, b, p, j] = sum_v Y[a, u, b, v] W_p[v, j]: one GEMM for all p
-        z = (y.reshape(q * w * q, w) @ flat).reshape(q, w, q, n_p, 3)
-        z = z.transpose(3, 1, 0, 2, 4).reshape(n_p, w, q * q * 3)
-        # g[p, i, a, b, j] = W_p[:, i]' Y[a, b] W_p[:, j]
-        g = np.matmul(w_t, z).reshape(n_p, 3, q, q, 3)
+        n_s = w_t.shape[0]
+        # z[a, u, b, s, j] = sum_v Y[a, u, b, v] W_s[v, j]: one GEMM for all s
+        z = (y.reshape(q * w * q, w) @ flat).reshape(q, w, q, n_s, 3)
+        z = z.transpose(3, 1, 0, 2, 4).reshape(n_s, w, q * q * 3)
+        # g[p, i, a, b, j] = sum over p's slices of W_s[:, i]' Y[a, b] W_s[:, j]
+        g = np.matmul(w_t, z).reshape(n_p, n_s // n_p, 3, q, q, 3).sum(axis=1)
         a00 = g[:, 0, :, :, 0]
         a00 = 0.5 * (a00 + np.transpose(a00, (0, 2, 1)))
         # E'L columns (t, p, a) and L'L entries (t, p) for the whole batch

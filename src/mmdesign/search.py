@@ -38,7 +38,6 @@ class GaConfig:
     space: str = SPACE_FULL
     population_size: int = 20
     max_evaluations: int = 10_000
-    max_generations: int | None = None
     crossover_pairs: int = 9
     mutation_rate: float = 0.01
     immigrant_count: int = 3
@@ -64,8 +63,6 @@ class GaConfig:
         if self.max_evaluations < self.population_size:
             raise ConfigurationError(
                 "max_evaluations must cover at least the initial population")
-        if self.max_generations is not None and self.max_generations < 0:
-            raise ConfigurationError("max_generations must be >= 0")
 
     @property
     def genome_length(self) -> int:
@@ -170,10 +167,7 @@ def ga_search(objective, config: GaConfig,
     population.sort(key=lambda it: (-it[0], it[1]))
     trace = [population[0][0]]
 
-    generation = 0
     while n_evals < budget:
-        if config.max_generations is not None and generation >= config.max_generations:
-            break
         candidates: list[tuple[int, ...]] = []
         for c in range(config.crossover_pairs):
             ga = population[2 * c][1]
@@ -218,7 +212,6 @@ def ga_search(objective, config: GaConfig,
                 uniques.append(item)
         population = (uniques + duplicates)[:config.population_size]
         trace.append(population[0][0])
-        generation += 1
 
     best_val, best_genome = population[0]
     return SearchResult(

@@ -361,6 +361,18 @@ def test_exit_code_bad_grid_step_or_run_shift(tmp_path, command, key, value):
     assert key in result[1]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "search-maximin"])
+@pytest.mark.parametrize("q, key", [(1, "p_step"), (2, "phi_step")])
+def test_exit_code_tiny_grid_step(tmp_path, command, q, key):
+    # a finite positive but tiny step once looped for billions of axis values
+    cfg = write_config(tmp_path, q_types=q, **{key: 1e-9})
+    design = write_design(tmp_path, [1, 0] * 6 if q == 1 else [1, 2, 0] * 4)
+    args = ["evaluate", design] if command == "evaluate" else [command]
+    result = run_cli([*args, "--config", cfg])
+    assert_clean_exit(result, 2)
+    assert key in result[1] and "more than 1000 values" in result[1]
+
+
 @pytest.mark.parametrize("fault", ["missing_key", "wrong_type"])
 def test_exit_code_malformed_table_row(tmp_path, fault):
     cfg = write_config(tmp_path)

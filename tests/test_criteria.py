@@ -164,6 +164,19 @@ def test_make_grid_rejects_bad_steps(q, region, bad):
             make_grid(q, "search", region=region, **steps)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("region", ["theta0", "full"])
+def test_make_grid_rejects_tiny_steps(q, region):
+    # more than MAX_AXIS_VALUES values on one axis is refused before any loop
+    with pytest.raises(ConfigurationError, match="p_step .* more than 1000 values"):
+        make_grid(q, "search", region=region, p_step=1e-9)
+    if q > 1:
+        with pytest.raises(ConfigurationError, match="phi_step .* more than 1000 values"):
+            make_grid(q, "search", region=region, phi_step=1e-9)
+    else:  # Q=1 has no angle axis
+        assert make_grid(q, "search", region=region, phi_step=1e-9).thetas == ((1.0,),)
+
+
 def test_param_grid_order_and_with_zero():
     grid = make_grid(2, "search")
     pts = list(grid.points())

@@ -14,6 +14,7 @@ from mmdesign.designs import Design, random_design, relabel
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import (
     LL_RANK_ONE_RATIO,
+    RCOND_SINGULAR,
     DriftSpec,
     Evaluator,
     NoiseSpec,
@@ -236,6 +237,32 @@ def test_phi_from_info_values():
     assert phi_from_info(np.diag([1.0, 1e-10])) > 0.0
 
 
+@given(q=st.integers(2, 3), seed=st.integers(0, 10 ** 6), log_scale=st.floats(-3.0, 6.0),
+       log_ratio=st.floats(-15.0, -8.0))
+@settings(max_examples=300, deadline=None)
+def test_phi_from_info_nearly_singular(q, seed, log_scale, log_ratio):
+    # M = U diag(lam) U' with U orthogonal: rounding M moves lam_min by about
+    # eps * lam_max, so phi_A = 1/sum(1/lam) is known only to about eps * kappa
+    # relative, and the zero verdict only outside a band of that width around
+    # RCOND_SINGULAR.  Q=2 takes the closed form, Q=3 eigvalsh.
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(q, q)))[0]
+    ratio = 10.0 ** log_ratio
+    lam = 10.0 ** log_scale * np.array(
+        [ratio, *10.0 ** rng.uniform(log_ratio, 0.0, q - 2), 1.0])
+    m = (u * lam) @ u.T
+    got = phi_from_info(0.5 * (m + m.T))
+    kappa = 1.0 / ratio
+    band = 64 * np.finfo(float).eps * kappa
+    if ratio > RCOND_SINGULAR * (1.0 + band):
+        assert got > 0.0
+    elif ratio < RCOND_SINGULAR * (1.0 - band):
+        assert got == 0.0
+    if got != 0.0:
+        want = 1.0 / math.fsum(1.0 / lam)
+        assert abs(got - want) <= 16 * np.finfo(float).eps * kappa * want
+
+
 def test_phi_a_zero_for_rest_only_design():
     d = Design(labels=(0,) * 9, q_types=1, isi=4.0)
     assert phi_a(d, (1.0,), HrfParams(6.0, 0.0), NoiseSpec(), DriftSpec(), tr=2.0) == 0.0
@@ -305,6 +332,8 @@ def test_phi_a_grid_matches_dense_sweep(q, runs):
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_residualized_equals_dense_operator(runs):
+    # every run shares one run's residualized columns; the runs differ only
+    # in their HRF bundles, summed in the grid stage
     q, length, isi, tr = 2, 20, 2.5, 2.5
     d = random_design(q, length, isi, seed=50 + runs)
     ev = make_eval(q=q, length=length, isi=isi, tr=tr, runs=runs)
@@ -312,11 +341,6 @@ def test_residualized_equals_dense_operator(runs):
     t_run = blocks[0].shape[0]
     v = ref_whitening(t_run, 0.3)
     s = ref_drift_raw(t_run, 2)
-    if runs == 2:
-        z = np.zeros_like(v)
-        v = np.block([[v, z], [z, v]])
-        s = np.block([[s, np.zeros_like(s)], [np.zeros_like(s), s]])
-        blocks = [np.block([[x, np.zeros_like(x)], [np.zeros_like(x), x]]) for x in blocks]
     x = np.hstack(blocks)
     want = (np.eye(v.shape[0]) - ref_proj(v @ s)) @ v @ x
     got = ev.residualized(d)
