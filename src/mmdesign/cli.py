@@ -27,9 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import (COMPARISON_P_STEP, LocalOptTable, MinResult, ParamGrid,
-                       make_grid, min_phi_a, min_re, min_rg, p_grid,
-                       theta_to_angles, worst_case)
+from .criteria import (LocalOptTable, MinResult, ParamGrid, make_grid, min_phi_a,
+                       min_re, min_rg, theta_to_angles, worst_case)
 from .designs import (Design, block_design, constrained_random, cyclic_design,
                       extend_m_sequence, load_design, m_sequence,
                       m_sequence_design, m_sequence_params, random_design,
@@ -90,13 +89,12 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (is_finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name} must be a finite positive number (got {v!r})")
-        if not is_finite_number(self.run_shift):
-            raise ConfigurationError(f"run_shift must be a finite number (got {self.run_shift!r})")
         for name in ("q_types", "length"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1 (got {getattr(self, name)})")
         if min(self.seeds, default=0) < 0:
             raise ConfigurationError(f"seeds must be >= 0 (got {min(self.seeds)})")
+        self._noise = NoiseSpec(rho=self.rho, runs=self.runs, run_shift=self.run_shift)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -141,15 +139,14 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def noise(self) -> NoiseSpec:
-        return NoiseSpec(rho=self.rho, runs=self.runs)
+        return self._noise
 
     def drift(self) -> DriftSpec:
         return DriftSpec(order=self.drift_order)
 
     def evaluator(self, n_slots: int | None = None):
         return get_evaluator(self.q_types, n_slots if n_slots is not None else self.length,
-                             self.isi, self.tr, self.noise(), self.drift(),
-                             run_shift=self.run_shift)
+                             self.isi, self.tr, self._noise, self.drift())
 
     def make_grid(self, default_preset: str | None = None,
                   include_zero: bool = False) -> ParamGrid:
@@ -389,9 +386,9 @@ def _search_and_report(cfg: ExperimentConfig, objective, threads: int, grid: Par
                            cfg.seeds, threads)
     noise, drift = cfg.noise(), cfg.drift()
     if table is None:
-        return results, [min_phi_a(r.best_design, grid, cfg.tr, noise, drift, cfg.run_shift)
+        return results, [min_phi_a(r.best_design, grid, cfg.tr, noise, drift)
                          for r in results]
-    return results, [min_re(r.best_design, grid, table, cfg.tr, noise, drift, cfg.run_shift)
+    return results, [min_re(r.best_design, grid, table, cfg.tr, noise, drift)
                      for r in results]
 
 
@@ -438,13 +435,12 @@ def cmd_search_maximin(args) -> int:
     cfg = config_from_args(args)
     run = _RunClock(args)
     objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
-    results, reports = _search_and_report(cfg, objective, run.threads, cfg.make_grid())
-    noise, drift = cfg.noise(), cfg.drift()
+    grid = cfg.make_grid()
+    results, reports = _search_and_report(cfg, objective, run.threads, grid)
     with_rg = cfg.q_types >= 2 and cfg.region == "theta0"
-    rg_ps = p_grid(COMPARISON_P_STEP) if with_rg else ()
-    extras = [{"min_rg": min_rg(r.best_design, rg_ps, cfg.tr, noise, drift,
-                                run_shift=cfg.run_shift)} if with_rg else {}
-              for r in results]
+    # the bound covers the report grid's p points, as in `compare --rg`
+    extras = [{"min_rg": min_rg(r.best_design, grid.ps, cfg.tr, cfg.noise(), cfg.drift())}
+              if with_rg else {} for r in results]
     return _finish_search(cfg, run, results, "min_phi_a", reports, extras, {})
 
 
@@ -519,8 +515,7 @@ def cmd_compare(args) -> int:
         if re_values is not None:
             entry["min_re"] = min_result_dict(worst_case(re_values, grid))
         if args.rg and d.q_types >= 2:
-            entry["min_rg"] = min_rg(d, grid.ps, cfg.tr, noise, drift,
-                                     run_shift=cfg.run_shift)
+            entry["min_rg"] = min_rg(d, grid.ps, cfg.tr, noise, drift)
         per_design.append(entry)
     key = "min_re" if denom is not None else "min_phi_a"
     ranking = sorted(range(len(per_design)),
@@ -581,7 +576,7 @@ def cmd_example_miezin(args) -> int:
     best_rand, best_rand_min = None, -1.0
     for child in rand_seeds:
         seed = int(child.generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
-        dr = constrained_random(cfg.length, 0.5, (4.9, 5.1), cfg.isi, seed)
+        dr = constrained_random(cfg.length, 0.5, (None, None), cfg.isi, seed)
         values = report_values(dr)
         v = float(values.min())
         if v > best_rand_min:
@@ -599,8 +594,7 @@ def cmd_example_miezin(args) -> int:
             cfg_alt, maximin_objective(cfg_alt.evaluator(), search_grid), run.threads,
             report_grid)
         matched = reports_alt[_best_index([mr.value for mr in reports_alt])].value
-        own = min_phi_a(d_star, report_grid, cfg.tr, cfg_alt.noise(), cfg.drift(),
-                        cfg.run_shift).value
+        own = min_phi_a(d_star, report_grid, cfg.tr, cfg_alt.noise(), cfg.drift()).value
         robustness[f"rho_{fmt_float(rho_alt)}"] = {
             "matched_min_phi_a": matched,
             "design_min_phi_a": own,
@@ -699,10 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, help="LFSR degree (mseq kind)")
     p.add_argument("--zero-fraction", type=float, default=0.5,
                    help="rest fraction (constrained-random kind)")
-    p.add_argument("--gap-min", type=float, default=4.9,
-                   help="smallest mean onset gap, seconds (constrained-random)")
-    p.add_argument("--gap-max", type=float, default=5.1,
-                   help="largest mean onset gap, seconds (constrained-random)")
+    p.add_argument("--gap-min", type=float, help="smallest mean onset gap, seconds "
+                   "(constrained-random; default isi / (1 - zero fraction) less 2%%)")
+    p.add_argument("--gap-max", type=float, help="largest mean onset gap, seconds "
+                   "(constrained-random; default that mean gap plus 2%%)")
     p.add_argument("--short", help="short design file (cyclic kind)")
     p.add_argument("-o", "--output", help="output design file path")
     p.set_defaults(func=cmd_generate)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .designs import Design, design_from_text
 from .errors import ConfigurationError, MmdesignError, TableFormatError, TableLookupError
-from .glsmodel import DEFAULT_RUN_SHIFT, DriftSpec, NoiseSpec, evaluator_for
+from .glsmodel import DriftSpec, NoiseSpec, evaluator_for
 from .hrf import HrfParams
 from .util import is_finite_number
 
@@ -317,12 +317,6 @@ class MinResult:
     index: int
 
 
-def _grid_values(d: Design, grid: ParamGrid, tr: float, noise: NoiseSpec,
-                 drift: DriftSpec, run_shift: float) -> np.ndarray:
-    ev = evaluator_for(d, tr, noise, drift, run_shift=run_shift)
-    return ev.phi_a_grid(d, grid.thetas, grid.ps)
-
-
 def worst_case(values: np.ndarray, grid: ParamGrid) -> MinResult:
     """Smallest of a design's values over `grid`, with its point.
 
@@ -339,10 +333,11 @@ def worst_case(values: np.ndarray, grid: ParamGrid) -> MinResult:
 
 
 def min_phi_a(d: Design, grid: ParamGrid, tr: float, noise: NoiseSpec,
-              drift: DriftSpec, run_shift: float = DEFAULT_RUN_SHIFT) -> MinResult:
+              drift: DriftSpec) -> MinResult:
     """Worst-case A-criterion value over the grid (first minimizer in grid
     order on ties)."""
-    return worst_case(_grid_values(d, grid, tr, noise, drift, run_shift), grid)
+    values = evaluator_for(d, tr, noise, drift).phi_a_grid(d, grid.thetas, grid.ps)
+    return worst_case(values, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +472,16 @@ def _row_problem(row, q_types: int) -> str | None:
 
 
 def relative_efficiency(d: Design, theta, p: HrfParams, table: LocalOptTable,
-                        tr: float, noise: NoiseSpec, drift: DriftSpec,
-                        run_shift: float = DEFAULT_RUN_SHIFT) -> float:
+                        tr: float, noise: NoiseSpec, drift: DriftSpec) -> float:
     """A-criterion value divided by the tabulated local optimum at the point."""
-    ev = evaluator_for(d, tr, noise, drift, run_shift=run_shift)
-    return ev.phi_a(d, theta, p) / table.value(theta, p)
+    return evaluator_for(d, tr, noise, drift).phi_a(d, theta, p) / table.value(theta, p)
 
 
 def min_re(d: Design, grid: ParamGrid, table: LocalOptTable, tr: float,
-           noise: NoiseSpec, drift: DriftSpec, run_shift: float = DEFAULT_RUN_SHIFT) -> MinResult:
+           noise: NoiseSpec, drift: DriftSpec) -> MinResult:
     """Worst-case relative efficiency over the grid (zero direction included
     by the caller via grid.with_zero())."""
-    values = _grid_values(d, grid, tr, noise, drift, run_shift)
+    values = evaluator_for(d, tr, noise, drift).phi_a_grid(d, grid.thetas, grid.ps)
     return worst_case(values / table.denominators(grid), grid)
 
 
@@ -497,8 +490,8 @@ def min_re(d: Design, grid: ParamGrid, table: LocalOptTable, tr: float,
 # ---------------------------------------------------------------------------
 
 def rg_ratios(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
-              drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP,
-              run_shift: float = DEFAULT_RUN_SHIFT) -> dict[tuple[int, ...], float]:
+              drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP
+              ) -> dict[tuple[int, ...], float]:
     """Per-permutation ratio of the worst case over the image of the reduced
     region to the worst case over the reduced region itself."""
     q = d.q_types
@@ -512,8 +505,7 @@ def rg_ratios(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
         start = len(all_thetas)
         all_thetas.extend(signed_image(th, sg) for th in base)
         spans[sg] = (start, len(all_thetas))
-    ev = evaluator_for(d, tr, noise, drift, run_shift=run_shift)
-    values = ev.phi_a_grid(d, tuple(all_thetas), ps)
+    values = evaluator_for(d, tr, noise, drift).phi_a_grid(d, tuple(all_thetas), ps)
     base_min = float(values[:len(base)].min())
     if base_min <= 0.0:
         raise ConfigurationError("design is singular somewhere on the reduced region")
@@ -521,10 +513,9 @@ def rg_ratios(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
 
 
 def min_rg(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
-           drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP,
-           run_shift: float = DEFAULT_RUN_SHIFT) -> float:
+           drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP) -> float:
     """Efficiency lower bound: smallest permutation-image ratio, floored at 1."""
-    ratios = rg_ratios(d, ps, tr, noise, drift, phi_step=phi_step, run_shift=run_shift)
+    ratios = rg_ratios(d, ps, tr, noise, drift, phi_step=phi_step)
     if not ratios:
         return 1.0
     return min(1.0, min(ratios.values()))

@@ -207,22 +207,25 @@ def random_design(q_types: int, length: int, isi: float, seed: int) -> Design:
     return Design(labels=tuple(int(x) for x in labels), q_types=q_types, isi=isi)
 
 
-def constrained_random(length: int, zero_fraction: float, gap_window: tuple[float, float],
+def constrained_random(length: int, zero_fraction: float, gap_window: tuple,
                        isi: float, seed: int, max_tries: int = 10_000) -> Design:
     """Random permutation of a fixed 0/1 composition whose mean inter-onset
-    time falls in `gap_window` (seconds); rejection sampling."""
+    time falls in `gap_window` (seconds; a None bound is isi / (1 -
+    zero_fraction) less or more 2%); rejection sampling."""
     share = length * zero_fraction
     if not (math.isfinite(share) and 0 <= round(share) <= length):
         raise ConfigurationError(f"zero_fraction {zero_fraction} out of range")
     n_zero = int(round(share))
-    lo, hi = gap_window
+    if length - n_zero < 2:
+        raise ConfigurationError(f"zero_fraction {zero_fraction} leaves fewer than 2 onsets")
+    expected = isi / (1.0 - zero_fraction)
+    lo = expected * 0.98 if gap_window[0] is None else gap_window[0]
+    hi = expected * 1.02 if gap_window[1] is None else gap_window[1]
     base = np.array([0] * n_zero + [1] * (length - n_zero))
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         perm = rng.permutation(base)
         onsets = np.nonzero(perm == 1)[0]
-        if onsets.size < 2:
-            continue
         mean_gap = float(np.mean(np.diff(onsets))) * isi
         if lo <= mean_gap <= hi:
             return Design(labels=tuple(int(x) for x in perm), q_types=1, isi=isi)

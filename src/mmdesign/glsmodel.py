@@ -26,9 +26,10 @@ bundles in one vectorized pass and caches them by value; the evaluator keeps
 the last grid's, stacked.
 
 Two runs present one sequence, the second with its HRF sampled `run_shift`
-seconds later.  They are independent and share the amplitudes, so E'E, E'L and
-L'L are sums of per-run terms: Y is one run's, and the runs' quadratic forms
-in their own HRF bundles are added before the nuisance pseudo-inverse.
+seconds later; `NoiseSpec` holds both the run count and the shift.  The runs
+are independent and share the amplitudes, so E'E, E'L and L'L are sums of
+per-run terms: Y is one run's, and the runs' quadratic forms in their own HRF
+bundles are added before the nuisance pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -54,16 +55,19 @@ DEFAULT_RUN_SHIFT = 1.25
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """AR(1) correlation and the number of independent runs."""
+    """AR(1) correlation, number of runs, and the second run's HRF delay (s)."""
 
     rho: float = 0.3
     runs: int = 1
+    run_shift: float = DEFAULT_RUN_SHIFT
 
     def __post_init__(self) -> None:
         if not -1.0 < self.rho < 1.0:
             raise ConfigurationError(f"rho must lie in (-1, 1) (got {self.rho})")
         if self.runs not in (1, 2):
             raise ConfigurationError(f"runs must be 1 or 2 (got {self.runs})")
+        if not math.isfinite(self.run_shift):  # NaN would zero the second run's HRF
+            raise ConfigurationError(f"run_shift must be finite (got {self.run_shift})")
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def projection(a: np.ndarray) -> np.ndarray:
 class Evaluator:
     """Criterion evaluation for designs of one fixed configuration.
 
-    Configuration = (types, slots, ISI, TR, noise, drift, run shift).  The
+    Configuration = (types, slots, ISI, TR, noise and runs, drift).  The
     constructor keeps only the AR(1) coefficient and a thin orthonormal basis
     of one run's whitened drift columns; each design then yields one run's
     Gram matrix, from which information matrices at any (theta, p) follow by
@@ -149,21 +153,16 @@ class Evaluator:
     """
 
     def __init__(self, q_types: int, n_slots: int, isi: float, tr: float,
-                 noise: NoiseSpec, drift: DriftSpec,
-                 run_shift: float = DEFAULT_RUN_SHIFT) -> None:
-        if not math.isfinite(run_shift):
-            raise ConfigurationError(f"run_shift must be finite (got {run_shift})")
+                 noise: NoiseSpec, drift: DriftSpec) -> None:
         self.q_types = q_types
         self.n_slots = n_slots
         self.isi = isi
         self.tr = tr
         self.noise = noise
-        self.drift = drift
-        self.run_shift = run_shift
         self.delta = delta_t(isi, tr)
         self.hrf_length = default_hrf_length(self.delta)
         # the one place that knows the run count: one HRF sampling per run
-        self.offsets = (0.0,) if noise.runs == 1 else (0.0, run_shift)
+        self.offsets = (0.0,) if noise.runs == 1 else (0.0, noise.run_shift)
         s = drift_matrix(_scan_index(n_slots, isi, tr)[1].shape[0], drift.order)
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
@@ -276,13 +275,17 @@ class Evaluator:
         return _phi_batch(m), m
 
 
+def _eig_sym2(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(trace, lmax, lmin) of symmetric 2x2 [[a, b], [b, c]] batches."""
+    t = a + c
+    s = np.sqrt((a - c) ** 2 + 4.0 * b * b)
+    return t, 0.5 * (t + s), 0.5 * (t - s)
+
+
 def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries (i00, i01, i11) of the Moore-Penrose inverse of symmetric PSD
     2x2 [[a, b], [b, c]] batches; a, b, c may have any common shape."""
-    t = a + c
-    s = np.sqrt((a - c) ** 2 + 4.0 * b * b)
-    lmax = 0.5 * (t + s)
-    lmin = 0.5 * (t - s)
+    _, lmax, lmin = _eig_sym2(a, b, c)
     full = lmin > LL_RANK_ONE_RATIO * lmax
     # rank-one fallback: M/lmax^2 approximates the truncated inverse; an
     # all-zero block divides by infinity and gets a zero inverse
@@ -302,10 +305,7 @@ def _phi_batch(m: np.ndarray) -> np.ndarray:
         a = m[..., 0, 0]
         b = m[..., 0, 1]
         c = m[..., 1, 1]
-        t = a + c
-        s = np.sqrt((a - c) ** 2 + 4.0 * b * b)
-        lmax = 0.5 * (t + s)
-        lmin = 0.5 * (t - s)
+        t, lmax, lmin = _eig_sym2(a, b, c)
         det = a * c - b * b
         ok = (lmax > 0) & (lmin > RCOND_SINGULAR * lmax)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -328,25 +328,23 @@ def phi_from_info(m: np.ndarray) -> float:
 
 @lru_cache(maxsize=16)
 def get_evaluator(q_types: int, n_slots: int, isi: float, tr: float,
-                  noise: NoiseSpec, drift: DriftSpec,
-                  run_shift: float = DEFAULT_RUN_SHIFT) -> Evaluator:
+                  noise: NoiseSpec, drift: DriftSpec) -> Evaluator:
     """Shared evaluator cache keyed by the full configuration."""
-    return Evaluator(q_types, n_slots, isi, tr, noise, drift, run_shift=run_shift)
+    return Evaluator(q_types, n_slots, isi, tr, noise, drift)
 
 
-def evaluator_for(d: Design, tr: float, noise: NoiseSpec, drift: DriftSpec,
-                  run_shift: float = DEFAULT_RUN_SHIFT) -> Evaluator:
-    return get_evaluator(d.q_types, len(d), d.isi, tr, noise, drift, run_shift=run_shift)
+def evaluator_for(d: Design, tr: float, noise: NoiseSpec, drift: DriftSpec) -> Evaluator:
+    return get_evaluator(d.q_types, len(d), d.isi, tr, noise, drift)
 
 
 # -- single-point contract functions ----------------------------------------
 
 def info_matrix(d: Design, theta, p: HrfParams, noise: NoiseSpec, drift: DriftSpec,
-                tr: float, run_shift: float = DEFAULT_RUN_SHIFT) -> InfoMatrix:
-    m = evaluator_for(d, tr, noise, drift, run_shift).info_matrix(d, theta, p)
+                tr: float) -> InfoMatrix:
+    m = evaluator_for(d, tr, noise, drift).info_matrix(d, theta, p)
     return InfoMatrix(m=m, theta=tuple(float(x) for x in theta), p=p)
 
 
 def phi_a(d: Design, theta, p: HrfParams, noise: NoiseSpec, drift: DriftSpec,
-          tr: float, run_shift: float = DEFAULT_RUN_SHIFT) -> float:
-    return evaluator_for(d, tr, noise, drift, run_shift).phi_a(d, theta, p)
+          tr: float) -> float:
+    return evaluator_for(d, tr, noise, drift).phi_a(d, theta, p)

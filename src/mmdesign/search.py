@@ -227,25 +227,27 @@ def ga_search(objective, config: GaConfig,
 # objectives
 # ---------------------------------------------------------------------------
 
-def maximin_objective(ev: Evaluator, grid: ParamGrid):
-    """Worst-case A-criterion value over the grid, as a fitness function."""
+def _worst_case_fitness(ev: Evaluator, grid: ParamGrid, denom: np.ndarray | None = None):
+    """A design's smallest value over the grid, divided pointwise by `denom`
+    when given; the grid's fixed tuples find their bundles by identity."""
     thetas, ps = grid.thetas, grid.ps
 
     def fitness(d: Design) -> float:
-        return float(ev.phi_a_grid(d, thetas, ps).min())
+        values = ev.phi_a_grid(d, thetas, ps)
+        return float((values if denom is None else values / denom).min())
 
     return fitness
+
+
+def maximin_objective(ev: Evaluator, grid: ParamGrid):
+    """Worst-case A-criterion value over the grid, as a fitness function."""
+    return _worst_case_fitness(ev, grid)
 
 
 def mme_objective(ev: Evaluator, grid: ParamGrid, table: LocalOptTable):
     """Worst-case relative efficiency over the grid (which should include the
     zero direction), as a fitness function."""
-    denom = table.denominators(grid)
-
-    def fitness(d: Design) -> float:
-        return float((ev.phi_a_grid(d, grid.thetas, grid.ps) / denom).min())
-
-    return fitness
+    return _worst_case_fitness(ev, grid, table.denominators(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +271,7 @@ def build_local_opt_table(grid: ParamGrid, ev: Evaluator, ga: GaConfig,
     for idx, (theta, p) in enumerate(points):
         point_seed = int(children[idx].generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
         cfg = replace(ga, seed=point_seed)
-
-        # one tuple per point, so every call finds its bundles by identity
-        def fitness(d: Design, _thetas=(theta,), _ps=(p,)) -> float:
-            return float(ev.phi_a_grid(d, _thetas, _ps)[0, 0])
-
+        fitness = maximin_objective(ev, ParamGrid(thetas=(theta,), ps=(p,)))
         seeds = (prev,) if prev is not None else ()
         result = ga_search(fitness, cfg, seed_designs=seeds)
         if result.best_objective <= 0.0:

@@ -15,7 +15,8 @@ import pytest
 import mmdesign
 
 from mmdesign.cli import ExperimentConfig, grid_header, main, write_csv
-from mmdesign.criteria import LocalOptTable, make_grid, min_phi_a, min_re, theta_to_angles
+from mmdesign.criteria import (LocalOptTable, make_grid, min_phi_a, min_re, min_rg, p_grid,
+                               theta_to_angles)
 from mmdesign.designs import load_design, random_design
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import DriftSpec, Evaluator, NoiseSpec
@@ -147,6 +148,28 @@ def test_generate_constrained_random(tmp_path):
     assert rc == 0
     d = load_design(out, q_types=1, isi=2.5)
     assert d.labels.count(1) == 66
+
+
+@pytest.mark.parametrize("length, isi", [(60, 4.0), (30, 2.0)])
+def test_generate_constrained_random_default_window_follows_isi(tmp_path, length, isi):
+    # a fixed 4.9-5.1 s default window once made every ISI-4 call reject
+    # 10,000 permutations and exit 4; the default is now the mean gap +/- 2%
+    out = str(tmp_path / "cr.txt")
+    assert main(["generate", "constrained-random", "--length", str(length), "--isi", str(isi),
+                 "--seed", "4", "-o", out]) == 0
+    onsets = np.nonzero(np.array(load_design(out, q_types=1, isi=isi).labels) == 1)[0]
+    mean_gap = float(np.mean(np.diff(onsets))) * isi
+    assert 0.98 * 2 * isi <= mean_gap <= 1.02 * 2 * isi
+
+
+def test_generate_constrained_random_default_window_at_isi_2_5(tmp_path):
+    # at ISI 2.5 s and half rest the default is the two-run example's window
+    base = ["generate", "constrained-random", "--length", "132", "--isi", "2.5",
+            "--seed", "3", "-o"]
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    assert main(base + [a]) == 0
+    assert main(base + [b, "--gap-min", "4.9", "--gap-max", "5.1"]) == 0
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_generate_cyclic(tmp_path):
@@ -461,6 +484,12 @@ def test_exit_code_config_seed_and_size(tmp_path):
     ["mseq", "--degree", "-1"],
     ["constrained-random", "--zero-fraction", "nan"],
     ["constrained-random", "--zero-fraction", "inf"],
+    # fewer than two onsets leave no gap: exit at once, not after 10,000 tries
+    ["constrained-random", "--zero-fraction", "1"],
+    ["constrained-random", "--length", "60", "--zero-fraction", "0.99"],
+    # the config's noise spec is checked for every command, generate included
+    ["random", "--rho", "1"],
+    ["random", "--runs", "3"],
 ])
 def test_exit_code_bad_generate_value(tmp_path, args):
     out = tmp_path / "d.txt"
@@ -513,6 +542,23 @@ def test_search_maximin_threads_do_not_change_result(tmp_path):
         assert main(["search-maximin", "--config", cfg, "--threads", threads]) == 0
         outputs.append([(out / f).read_bytes() for f in files])
     assert outputs[0] == outputs[1]
+
+
+def test_search_maximin_rg_bound_covers_the_report_grid(tmp_path):
+    # as in `compare --rg`, min_rg is taken over the report grid's p points;
+    # it once used the default comparison p grid whatever p_step said
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"q_types": 2, "length": 60, "p_step": 0.5,
+                                    "out": str(tmp_path / "out")}), encoding="utf-8")
+    assert main(["search-maximin", "--config", str(cfg_path), "--seed", "2",
+                 "--budget", "40"]) == 0
+    cfg = ExperimentConfig.load(str(cfg_path))
+    out = tmp_path / "out"
+    reported = json.loads((out / "summary.json").read_text())["per_seed"][0]["min_rg"]
+    d = load_design(str(out / "best_design.txt"), q_types=2, isi=cfg.isi)
+    args = (cfg.tr, cfg.noise(), cfg.drift())
+    assert reported == min_rg(d, cfg.make_grid().ps, *args)
+    assert reported != min_rg(d, p_grid(0.1), *args)
 
 
 def test_search_maximin_budget_flag(tmp_path):
@@ -696,7 +742,7 @@ def test_reported_minima_match_csv_and_library(tmp_path, q):
                      "--rg"]) == 0
         entries = json.loads((out / "comparison.json").read_text())["designs"]
         csv_path, names = out / "comparison.csv", [e["design"] for e in entries]
-    args = (cfg.tr, cfg.noise(), cfg.drift(), cfg.run_shift)
+    args = (cfg.tr, cfg.noise(), cfg.drift())
     for path, name, entry in zip(paths, names, entries):
         d = load_design(path, q_types=q, isi=cfg.isi)
         for key, column, lib in (("min_phi_a", "phi_a", min_phi_a(d, grid, *args)),

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mmdesign.designs import (
     design_from_text,
     design_matrix,
     extend_m_sequence,
+    find_primitive_poly,
     load_design,
     m_sequence,
     m_sequence_design,
@@ -154,6 +156,25 @@ def test_constrained_random_infeasible_window():
         constrained_random(20, 0.5, (100.0, 101.0), isi=2.5, seed=0, max_tries=50)
 
 
+@pytest.mark.parametrize("isi, zero_fraction, lo, hi", [
+    (2.5, 0.5, "4.9", "5.1"),  # exactly the two-run example's window
+    (4.0, 0.5, "7.84", "8.16"),
+    (2.0, 0.75, "7.84", "8.16"),
+])
+def test_constrained_random_default_window(isi, zero_fraction, lo, hi):
+    # a None bound is the composition's mean gap isi / (1 - zero_fraction), -/+ 2%
+    for window, text in (((None, None), f"[{lo}, {hi}]"), ((None, 9.0), f"[{lo}, 9.0]"),
+                         ((1.0, None), f"[1.0, {hi}]")):
+        with pytest.raises(SamplingError, match=re.escape(text)):
+            constrained_random(40, zero_fraction, window, isi=isi, seed=0, max_tries=0)
+
+
+@pytest.mark.parametrize("length, zero_fraction", [(20, 1.0), (20, 0.95), (1, 0.0)])
+def test_constrained_random_needs_two_onsets(length, zero_fraction):
+    with pytest.raises(ConfigurationError, match="fewer than 2 onsets"):
+        constrained_random(length, zero_fraction, (None, None), isi=2.5, seed=0)
+
+
 def test_m_sequence_gf2_counts():
     seq = m_sequence(2, 8)
     assert len(seq) == 255
@@ -180,6 +201,27 @@ def test_m_sequence_gf4_counts():
 def test_default_primitive_polys_give_full_period(field_order, degree):
     seq = m_sequence(field_order, degree, DEFAULT_PRIMITIVE_POLYS[(field_order, degree)])
     assert len(seq) == field_order ** degree - 1
+
+
+def test_find_primitive_poly_matches_the_table_but_at_gf4_degree_4():
+    # the search returns the first primitive polynomial in its order; the
+    # table's (4, 4) entry is another one, kept because Q=3 m-sequences use it
+    found = {key: find_primitive_poly(*key) for key in DEFAULT_PRIMITIVE_POLYS}
+    assert found.pop((4, 4)) == (3, 2, 1, 0)
+    assert found == {k: v for k, v in DEFAULT_PRIMITIVE_POLYS.items() if k != (4, 4)}
+    assert len(m_sequence(4, 4, (3, 2, 1, 0))) == 255
+
+
+def test_find_primitive_poly_beyond_the_table():
+    # GF(2) degree 11 is what Q=1 searches longer than 1023 slots need
+    assert (2, 11) not in DEFAULT_PRIMITIVE_POLYS
+    poly = find_primitive_poly(2, 11)
+    assert poly == (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+    seq = m_sequence(2, 11, poly)
+    assert len(seq) == 2047 and seq.count(1) == 1024
+    assert m_sequence_design(1, 1500, 4.0).labels == tuple(seq[:1500])
+    with pytest.raises(ConfigurationError, match="too large"):
+        find_primitive_poly(2, 21)
 
 
 def test_m_sequence_window_property():

@@ -461,15 +461,15 @@ def test_two_identical_runs_with_zero_shift_double_the_information():
     for q, theta in ((1, (1.0,)), (2, (0.6, -0.8))):
         d = random_design(q, 12, 2.5, seed=23 + q)
         single = phi_a(d, theta, p, NoiseSpec(rho=0.3), DriftSpec(order=2), tr=2.5)
-        double = phi_a(d, theta, p, NoiseSpec(rho=0.3, runs=2), DriftSpec(order=2),
-                       tr=2.5, run_shift=0.0)
+        double = phi_a(d, theta, p, NoiseSpec(rho=0.3, runs=2, run_shift=0.0),
+                       DriftSpec(order=2), tr=2.5)
         assert double == pytest.approx(2.0 * single, rel=1e-10)
 
 
 def test_two_run_matches_reference():
     d = random_design(1, 12, 2.5, seed=25)
-    got = phi_a(d, (1.0,), HrfParams(7.0, 1.25), NoiseSpec(rho=0.3, runs=2),
-                DriftSpec(order=2), tr=2.5, run_shift=1.25)
+    got = phi_a(d, (1.0,), HrfParams(7.0, 1.25), NoiseSpec(rho=0.3, runs=2, run_shift=1.25),
+                DriftSpec(order=2), tr=2.5)
     want = ref_phi_a(list(d.labels), 1, 2.5, 2.5, 0.3, 2, (1.0,), 7.0, 1.25,
                      runs=2, shift=1.25)
     assert got == pytest.approx(want, rel=1e-8)
@@ -477,7 +477,7 @@ def test_two_run_matches_reference():
 
 @pytest.mark.parametrize("shift", [math.nan, math.inf])
 def test_evaluator_rejects_non_finite_run_shift(shift):
-    # a NaN shift would zero every second-run height (NaN > 0 is false)
+    # a NaN shift would zero every second-run height (NaN > 0 is false); the
+    # noise spec carries the shift, so no evaluator can be built with one
     with pytest.raises(ConfigurationError, match="run_shift"):
-        Evaluator(q_types=1, n_slots=12, isi=2.5, tr=2.5, noise=NoiseSpec(runs=2),
-                  drift=DriftSpec(), run_shift=shift)
+        NoiseSpec(runs=2, run_shift=shift)
