@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import (LocalOptTable, MinResult, ParamGrid, make_grid, min_phi_a,
-                       min_re, min_rg, theta_to_angles, worst_case)
+from .criteria import (GRID_PRESETS, LocalOptTable, MinResult, ParamGrid, make_grid,
+                       min_phi_a, min_re, min_rg, theta_to_angles, worst_case)
 from .designs import (Design, block_design, constrained_random, cyclic_design,
                       extend_m_sequence, load_design, m_sequence,
                       m_sequence_design, m_sequence_params, random_design,
@@ -148,18 +148,25 @@ class ExperimentConfig:
         return get_evaluator(self.q_types, n_slots if n_slots is not None else self.length,
                              self.isi, self.tr, self._noise, self.drift())
 
-    def make_grid(self, default_preset: str | None = None,
-                  include_zero: bool = False) -> ParamGrid:
+    def _preset(self, default_preset: str | None = None) -> str:
         """The `grid` preset, or `default_preset` when `grid` is unset; with no
         default, the searches' final-report grid `report_grid`, which `grid`
         does not override."""
         if default_preset is None:
-            preset = self.report_grid
-        else:
-            preset = self.grid if self.grid is not None else default_preset
-        return make_grid(self.q_types, preset=preset, region=self.region,
+            return self.report_grid
+        return self.grid if self.grid is not None else default_preset
+
+    def make_grid(self, default_preset: str | None = None,
+                  include_zero: bool = False) -> ParamGrid:
+        return make_grid(self.q_types, preset=self._preset(default_preset), region=self.region,
                          include_zero=include_zero, p_step=self.p_step,
                          phi_step=self.phi_step)
+
+    def grid_phi_step(self, default_preset: str | None = None) -> float:
+        """The amplitude step of `make_grid(default_preset)`."""
+        if self.phi_step is not None:
+            return self.phi_step
+        return GRID_PRESETS[self._preset(default_preset)][1]
 
     def ga_config(self, seed: int) -> GaConfig:
         return GaConfig(q_types=self.q_types, length=self.length, isi=self.isi,
@@ -439,7 +446,8 @@ def cmd_search_maximin(args) -> int:
     results, reports = _search_and_report(cfg, objective, run.threads, grid)
     with_rg = cfg.q_types >= 2 and cfg.region == "theta0"
     # the bound covers the report grid's p points, as in `compare --rg`
-    extras = [{"min_rg": min_rg(r.best_design, grid.ps, cfg.tr, cfg.noise(), cfg.drift())}
+    extras = [{"min_rg": min_rg(r.best_design, grid.ps, cfg.tr, cfg.noise(), cfg.drift(),
+                                phi_step=cfg.grid_phi_step())}
               if with_rg else {} for r in results]
     return _finish_search(cfg, run, results, "min_phi_a", reports, extras, {})
 
@@ -515,7 +523,8 @@ def cmd_compare(args) -> int:
         if re_values is not None:
             entry["min_re"] = min_result_dict(worst_case(re_values, grid))
         if args.rg and d.q_types >= 2:
-            entry["min_rg"] = min_rg(d, grid.ps, cfg.tr, noise, drift)
+            entry["min_rg"] = min_rg(d, grid.ps, cfg.tr, noise, drift,
+                                     phi_step=cfg.grid_phi_step("comparison"))
         per_design.append(entry)
     key = "min_re" if denom is not None else "min_phi_a"
     ranking = sorted(range(len(per_design)),

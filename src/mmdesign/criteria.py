@@ -32,6 +32,8 @@ SEARCH_P_STEP = 0.2
 SEARCH_PHI_STEP = 0.1 * math.pi
 COMPARISON_P_STEP = 0.1
 COMPARISON_PHI_STEP = 0.05 * math.pi
+GRID_PRESETS = {"search": (SEARCH_P_STEP, SEARCH_PHI_STEP),  # preset: (p_step, phi_step)
+                "comparison": (COMPARISON_P_STEP, COMPARISON_PHI_STEP)}
 
 _KEY_DIGITS = 9
 MAX_AXIS_VALUES = 1000  # values allowed on one grid axis; the finest preset has 31
@@ -249,14 +251,10 @@ class ParamGrid:
 def make_grid(q: int, preset: str = "search", region: str = "theta0",
               include_zero: bool = False, p_step: float | None = None,
               phi_step: float | None = None) -> ParamGrid:
-    if preset == "search":
-        p_step = SEARCH_P_STEP if p_step is None else p_step
-        phi_step = SEARCH_PHI_STEP if phi_step is None else phi_step
-    elif preset == "comparison":
-        p_step = COMPARISON_P_STEP if p_step is None else p_step
-        phi_step = COMPARISON_PHI_STEP if phi_step is None else phi_step
-    else:
+    if preset not in GRID_PRESETS:
         raise ConfigurationError(f"unknown grid preset {preset!r}")
+    p_step = GRID_PRESETS[preset][0] if p_step is None else p_step
+    phi_step = GRID_PRESETS[preset][1] if phi_step is None else phi_step
     if region == "theta0":
         thetas = theta0_grid(q, phi_step)
     elif region == "full":

@@ -19,11 +19,15 @@ The evaluator reduces each design to a Gram matrix Y of its residualized
 columns.  Residualizing never forms an n x n operator: V is lower-bidiagonal,
 so V X is one shifted subtraction, and the drift projector is the identity
 minus Qs Qs' for a thin orthonormal basis Qs of V S.  Everything after the
-Gram matrix is Q x Q algebra: one matrix product of Y with the stacked HRF
-bundles of all p points, one batched product over p, and closed-form 2 x 2
-pseudo-inverses for the nuisance block.  `hrf.hrf_bundle` builds a grid's HRF
-bundles in one vectorized pass and caches them by value; the evaluator keeps
-the last grid's, stacked.
+Gram matrix works on flat per-entry arrays: one matrix product of all p
+points' transposed HRF bundles with Y, one batched product over p with the
+bundles, then, with p the last axis, one product each for E'L and L'L over
+all directions theta.  A closed-form 2 x 2 pseudo-inverse F = (L'L)^- L'E
+gives the Schur complement M_ab = (E'E)_ab - (E'L)_a F_b one entry at a time,
+each an (n_theta, n_p) array; Q <= 2 takes 1/trace(M^{-1}) in closed form
+from the entries, Q >= 3 stacks them for an eigenvalue solve.  `hrf.hrf_bundle`
+builds a grid's HRF bundles in one vectorized pass and caches them by value;
+the evaluator keeps the last grid's transposed copy.
 
 Two runs present one sequence, the second with its HRF sampled `run_shift`
 seconds later; `NoiseSpec` holds both the run count and the shift.  The runs
@@ -206,7 +210,7 @@ class Evaluator:
 
     def info_matrix(self, d: Design, theta, p: HrfParams) -> np.ndarray:
         _, m = self._phi_from_gram(self.gram(d), [tuple(np.asarray(theta, dtype=float))], [p])
-        return m[0, 0]
+        return np.array([[entry[0, 0] for entry in row] for row in m])
 
     def phi_a(self, d: Design, theta, p: HrfParams) -> float:
         grid = self.phi_a_grid(d, [tuple(np.asarray(theta, dtype=float))], [p])
@@ -221,10 +225,11 @@ class Evaluator:
         return out
 
     def _stacked_bundles(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        """Bundles of the p points in the tuple `ps`, built in one pass, cut
-        into n_s = n_p*runs (hrf_length, 3) slices W_s (point-major) and stacked
-        two ways: (hrf_length, n_s*3) for the product with the Gram matrix and
-        (n_s, 3, hrf_length) for the batched product.  Only the last tuple's
+        """Bundles of the p points in the tuple `ps`, built in one pass and cut
+        into n_s = n_p*runs (hrf_length, 3) slices W_s, point-major: one
+        transposed copy (n_s*3, hrf_length) stacking every W_s' for the
+        product with the Gram matrix, and the (n_s, hrf_length, 3) view of
+        `hrf_bundle`'s array for the batched product.  Only the last tuple's
         are kept, found by identity, as one (ps, stacked) pair that threads
         replace whole; other tuples come from `hrf_bundle`'s cache."""
         recent_ps, recent = self._recent_stack
@@ -233,13 +238,13 @@ class Evaluator:
         w = self.hrf_length
         w_all = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps),
                            self.delta, self.offsets, w).reshape(-1, w, 3)
-        flat = np.ascontiguousarray(w_all.transpose(1, 0, 2)).reshape(w, -1)
-        stacked = (flat, np.ascontiguousarray(w_all.transpose(0, 2, 1)))
+        stacked = (np.ascontiguousarray(w_all.transpose(0, 2, 1)).reshape(-1, w), w_all)
         self._recent_stack = (ps, stacked)
         return stacked
 
     def _phi_from_gram(self, y: np.ndarray, thetas, ps):
-        """(values, M): A-criterion values and information matrices over the product grid."""
+        """(values, M): A-criterion values over the product grid, and the
+        information matrices as entries M[a][b], each an (n_thetas, n_ps) array."""
         q, w = self.q_types, self.hrf_length
         ps = ps if isinstance(ps, tuple) else tuple(ps)
         th = np.asarray(list(thetas), dtype=float)
@@ -248,30 +253,28 @@ class Evaluator:
         if th.ndim != 2 or th.shape[1] != q:
             raise ConfigurationError(f"thetas must be (n, {q}) (got {th.shape})")
         n_t, n_p = th.shape[0], len(ps)
-        if n_t == 0 or n_p == 0:
-            return np.empty((n_t, n_p)), np.empty((n_t, n_p, q, q))
-        flat, w_t = self._stacked_bundles(ps)
-        n_s = w_t.shape[0]
-        # z[a, u, b, s, j] = sum_v Y[a, u, b, v] W_s[v, j]: one GEMM for all s
-        z = (y.reshape(q * w * q, w) @ flat).reshape(q, w, q, n_s, 3)
-        z = z.transpose(3, 1, 0, 2, 4).reshape(n_s, w, q * q * 3)
-        # g[p, i, a, b, j] = sum over p's slices of W_s[:, i]' Y[a, b] W_s[:, j]
-        g = np.matmul(w_t, z).reshape(n_p, n_s // n_p, 3, q, q, 3).sum(axis=1)
-        a00 = g[:, 0, :, :, 0]
-        a00 = 0.5 * (a00 + np.transpose(a00, (0, 2, 1)))
-        # E'L columns (t, p, a) and L'L entries (t, p) for the whole batch
-        e1 = np.matmul(g[:, 0, :, :, 1], th.T).transpose(2, 0, 1)
-        e2 = np.matmul(g[:, 0, :, :, 2], th.T).transpose(2, 0, 1)
+        w_t, w_all = self._stacked_bundles(ps)
+        # h[s, i, a, b, v] = sum_u W_s[u, i] Y[a, u, b, v]: one GEMM for all s
+        y_t = y.reshape(q, w, q * w).transpose(1, 0, 2).reshape(w, q * q * w)
+        h = (w_t @ y_t).reshape(-1, 3 * q * q, w)
+        g = np.matmul(h, w_all).reshape(n_p, len(self.offsets), 3, q, q, 3)
+        # gp[i, j, b, a, p]: p's W_s[:, i]' Y[a, b] W_s[:, j] summed over its runs
+        gp = np.empty((3, 3, q, q, n_p))
+        np.sum(g.transpose(2, 5, 4, 3, 0, 1), axis=-1, out=gp)
+        # E'L columns el[j - 1, t, a, p] and L'L entries ll[i - 1, j - 1, t, p]
+        el = np.matmul(th, gp[0, 1:].reshape(2, q, q * n_p)).reshape(2, n_t, q, n_p)
         tt = (th[:, :, None] * th[:, None, :]).reshape(n_t, q * q)
-        l11, l16, l66 = (tt @ g[:, i, :, :, j].reshape(n_p, q * q).T
-                         for i, j in ((1, 1), (1, 2), (2, 2)))
-        i00, i01, i11 = _pinv_sym2_batch(l11, l16, l66)
-        # corr[a, b] = sum_ij el[a, i] inv[i, j] el[b, j], inv = [[i00, i01], [i01, i11]]
-        f1 = (i00[..., None] * e1 + i01[..., None] * e2)[..., None, :]
-        f2 = (i01[..., None] * e1 + i11[..., None] * e2)[..., None, :]
-        corr = e1[..., :, None] * f1 + e2[..., :, None] * f2
-        m = a00[None, :, :, :] - corr
-        m = 0.5 * (m + np.transpose(m, (0, 1, 3, 2)))
+        ll = np.matmul(tt, gp[1:, 1:].reshape(2, 2, q * q, n_p))
+        i00, i01, i11 = _pinv_sym2_batch(ll[0, 0], ll[0, 1], ll[1, 1])
+        # M = E'E - E'L pinv(L'L) L'E entry by entry, with F = pinv(L'L) L'E
+        e1, e2 = el
+        f1 = i00[:, None] * e1 + i01[:, None] * e2
+        f2 = i01[:, None] * e1 + i11[:, None] * e2
+        a00 = 0.5 * (gp[0, 0] + gp[0, 0].transpose(1, 0, 2))
+        m = [[None] * q for _ in range(q)]
+        for a in range(q):
+            for b in range(a, q):
+                m[a][b] = m[b][a] = a00[a, b] - (e1[:, a] * f1[:, b] + e2[:, a] * f2[:, b])
         return _phi_batch(m), m
 
 
@@ -294,24 +297,24 @@ def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(full, c, a) / den, np.where(full, -b, b) / den, np.where(full, a, c) / den
 
 
-def _phi_batch(m: np.ndarray) -> np.ndarray:
-    """1/trace(M^{-1}) for a stack (any leading shape) of symmetric matrices;
-    0 where the reciprocal condition number is at or below RCOND_SINGULAR."""
-    q = m.shape[-1]
+def _phi_batch(m) -> np.ndarray:
+    """1/trace(M^{-1}) for symmetric matrices given by their entries m[a][b],
+    arrays of any common shape (or a single q x q matrix); 0 where the
+    reciprocal condition number is at or below RCOND_SINGULAR."""
+    q = len(m)
     if q == 1:
-        vals = m[..., 0, 0]
-        return np.where(vals > 0.0, vals, 0.0)
+        return np.where(m[0][0] > 0.0, m[0][0], 0.0)
     if q == 2:
-        a = m[..., 0, 0]
-        b = m[..., 0, 1]
-        c = m[..., 1, 1]
+        a, b, c = m[0][0], m[0][1], m[1][1]
         t, lmax, lmin = _eig_sym2(a, b, c)
         det = a * c - b * b
         ok = (lmax > 0) & (lmin > RCOND_SINGULAR * lmax)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = np.where(ok, det / t, 0.0)
         return phi
-    lam = np.linalg.eigvalsh(m)
+    # a cofactor form det / (sum of 2 x 2 principal minors) loses far more than
+    # eps * kappa when two eigenvalues are small, so Q >= 3 solves for them
+    lam = np.linalg.eigvalsh(np.stack([np.stack(row, axis=-1) for row in m], axis=-2))
     lmin = lam[..., 0]
     lmax = lam[..., -1]
     ok = (lmax > 0) & (lmin > RCOND_SINGULAR * lmax)
@@ -322,8 +325,7 @@ def _phi_batch(m: np.ndarray) -> np.ndarray:
 
 def phi_from_info(m: np.ndarray) -> float:
     """1/trace(M^{-1}) for a single symmetric matrix (0 if near-singular)."""
-    m = np.asarray(m, dtype=float)
-    return float(_phi_batch(m[None, :, :])[0])
+    return float(_phi_batch(np.asarray(m, dtype=float)))
 
 
 @lru_cache(maxsize=16)

@@ -649,12 +649,17 @@ def test_compare_ranks_designs(tmp_path, capsys):
 
 
 def test_compare_with_rg_flag(tmp_path):
-    cfg = write_config(tmp_path, q_types=2, length=12)
-    d1 = write_design(tmp_path, random_design(2, 12, 4.0, seed=6).labels, "a.txt")
-    rc = main(["compare", d1, "--config", cfg, "--rg"])
+    # the reduced region of R_g has the configured amplitude step
+    cfg = write_config(tmp_path, q_types=2, length=12, phi_step=0.25)
+    d = random_design(2, 12, 4.0, seed=6)
+    rc = main(["compare", write_design(tmp_path, d.labels, "a.txt"), "--config", cfg, "--rg"])
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "comparison.json").read_text())
-    assert 0 < summary["designs"][0]["min_rg"] <= 1.0
+    got = summary["designs"][0]["min_rg"]
+    assert 0 < got <= 1.0
+    ps = ExperimentConfig.load(cfg).make_grid("comparison").ps
+    assert got == min_rg(d, ps, 2.0, NoiseSpec(rho=0.3), DriftSpec(order=2), phi_step=0.25)
+    assert got != min_rg(d, ps, 2.0, NoiseSpec(rho=0.3), DriftSpec(order=2))
 
 
 def test_compare_quotes_odd_design_name(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -287,18 +288,6 @@ def test_phi_a_matches_reference_cases():
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
-def test_phi_a_grid_matches_pointwise_loop():
-    ev = make_eval(q=2, length=24)
-    d = random_design(2, 24, 4.0, seed=18)
-    thetas = [(1.0, 0.0), (0.6, 0.8), (0.0, 0.0), (-0.7, 0.3)]
-    ps = [HrfParams(6.0, 0.0), HrfParams(7.3, 1.2), HrfParams(9.0, 2.0)]
-    grid = ev.phi_a_grid(d, thetas, ps)
-    assert grid.shape == (4, 3)
-    for i, th in enumerate(thetas):
-        for j, p in enumerate(ps):
-            assert grid[i, j] == pytest.approx(ev.phi_a(d, th, p), rel=1e-12, abs=1e-15)
-
-
 # (q, runs) -> (slots, isi, tr, directions including zero, (p1, p6) points)
 SWEEP_CASES = {
     (1, 1): (18, 4.0, 2.0, [(0.0,), (1.0,)], [(6.0, 0.0), (7.4, 1.1), (9.0, 2.0)]),
@@ -310,6 +299,36 @@ SWEEP_CASES = {
              [(6.2, 0.3), (8.5, 1.7)]),
     (3, 2): (18, 2.5, 2.5, [(0.0, 0.0, 0.0), (0.6, 0.0, 0.8)], [(7.0, 1.25), (9.0, 0.0)]),
 }
+
+
+@pytest.mark.parametrize("q, runs", sorted(SWEEP_CASES))
+def test_phi_a_grid_matches_pointwise_loop(q, runs):
+    length, isi, tr, thetas, p_pairs = SWEEP_CASES[(q, runs)]
+    ev = make_eval(q=q, length=length, isi=isi, tr=tr, runs=runs)
+    d = random_design(q, length, isi, seed=18)
+    ps = [HrfParams(p1, p6) for p1, p6 in p_pairs]
+    thetas = thetas + [(-0.7, 0.3, 0.2)[:q]]  # and one direction off the reduced region
+    grid = ev.phi_a_grid(d, thetas, ps)
+    assert grid.shape == (len(thetas), len(ps))
+    for i, th in enumerate(thetas):
+        for j, p in enumerate(ps):
+            assert grid[i, j] == pytest.approx(ev.phi_a(d, th, p), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("q, runs", sorted(SWEEP_CASES))
+def test_phi_a_grid_dead_point_among_live_ones(q, runs):
+    # at p6 = 40 every sampled height and partial is zero: that column's
+    # information matrices are all zero, and the other columns must not notice
+    length, isi, tr, thetas, p_pairs = SWEEP_CASES[(q, runs)]
+    ev = make_eval(q=q, length=length, isi=isi, tr=tr, runs=runs)
+    d = random_design(q, length, isi, seed=40)
+    pairs = p_pairs[:1] + [(6.0, 40.0)] + p_pairs[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ev.phi_a_grid(d, thetas, [HrfParams(p1, p6) for p1, p6 in pairs])
+    assert np.all(got[:, 1] == 0.0)
+    want = ref_phi_sweep([list(d.labels)], q, isi, tr, 0.3, 2, thetas, p_pairs, runs=runs)[0]
+    np.testing.assert_allclose(np.delete(got, 1, axis=1), want, rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("q, runs", sorted(SWEEP_CASES))
