@@ -44,6 +44,13 @@ class Design:
             raise ConfigurationError(
                 f"labels must lie in 0..{self.q_types}; offending value {bad[0]}")
 
+    @classmethod
+    def unchecked(cls, labels: tuple[int, ...], q_types: int, isi: float) -> "Design":
+        """A Design of a tuple of ints known to lie in 0..q_types, not validated again."""
+        d = object.__new__(cls)
+        d.__dict__.update(labels=labels, q_types=q_types, isi=isi)
+        return d
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -423,4 +430,5 @@ def cyclic_design(short: Design, q_types: int, length: int) -> Design:
     for _ in range(q_types):
         labels.extend(cur)
         cur = cycle_labels_once(cur, q_types)
-    return Design(labels=tuple(labels[:length]), q_types=q_types, isi=short.isi)
+    # relabeling a valid design keeps every label in 0..Q
+    return Design.unchecked(tuple(labels[:length]), q_types, short.isi)

@@ -15,25 +15,32 @@ partials of the one fixed-shape HRF (`hrf.hrf_bundle`), so p1 and p6 are the
 only curve parameters.  The A-criterion value is 1/trace(M^{-1}), zero when
 M is singular or near-singular.
 
-The evaluator reduces each design to a Gram matrix Y of its residualized
-columns.  Residualizing never forms an n x n operator: V is lower-bidiagonal,
-so V X is one shifted subtraction, and the drift projector is the identity
-minus Qs Qs' for a thin orthonormal basis Qs of V S.  Everything after the
-Gram matrix works on flat per-entry arrays: one matrix product of all p
-points' transposed HRF bundles with Y, one batched product over p with the
-bundles, then, with p the last axis, one product each for E'L and L'L over
-all directions theta.  A closed-form 2 x 2 pseudo-inverse F = (L'L)^- L'E
-gives the Schur complement M_ab = (E'E)_ab - (E'L)_a F_b one entry at a time,
-each an (n_theta, n_p) array; Q <= 2 takes 1/trace(M^{-1}) in closed form
-from the entries, Q >= 3 stacks them for an eigenvalue solve.  `hrf.hrf_bundle`
-builds a grid's HRF bundles in one vectorized pass and caches them by value;
-the evaluator keeps the last grid's transposed copy.
+Residualizing never forms an n x n operator: V is lower-bidiagonal, so V A
+is one shifted subtraction, and the drift projector is the identity minus
+Qs Qs' for a thin orthonormal basis Qs of V S.  The evaluator has two routes.
+
+Grid (`phi_a_grid`): the Gram matrix Y of a design's Q*K residualized
+columns, then the grid stage on flat per-entry arrays: one matrix product of
+all p points' transposed HRF bundles with Y, one batched product over p with
+the bundles, then, with p the last axis, one product each for E'L and L'L
+over all directions theta.  A closed-form 2 x 2 pseudo-inverse
+F = (L'L)^- L'E gives the Schur complement M_ab = (E'E)_ab - (E'L)_a F_b one
+entry at a time, each an (n_theta, n_p) array; Q <= 2 takes 1/trace(M^{-1})
+in closed form from the entries, Q >= 3 stacks them for an eigenvalue solve.
+`hrf.hrf_bundle` builds a grid's HRF bundles in one vectorized pass and
+caches them by value; the evaluator keeps the last grid's transposed copy.
+
+One point (`phi_a`, `info_matrix`): X times the point's HRF bundle and theta
+first, which gives the Q+2 columns [E L] of each run; only those are
+residualized, and the same pseudo-inverse and Schur complement act on their
+(Q+2) x (Q+2) Gram matrix.  The evaluator keeps the last point's weights.
 
 Two runs present one sequence, the second with its HRF sampled `run_shift`
 seconds later; `NoiseSpec` holds both the run count and the shift.  The runs
 are independent and share the amplitudes, so E'E, E'L and L'L are sums of
 per-run terms: Y is one run's, and the runs' quadratic forms in their own HRF
-bundles are added before the nuisance pseudo-inverse.
+bundles (or the runs' Gram blocks of [E L]) are added before the nuisance
+pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -150,10 +157,12 @@ class Evaluator:
 
     Configuration = (types, slots, ISI, TR, noise and runs, drift).  The
     constructor keeps only the AR(1) coefficient and a thin orthonormal basis
-    of one run's whitened drift columns; each design then yields one run's
-    Gram matrix, from which information matrices at any (theta, p) follow by
-    small quadratic forms summed over the runs.  The stacked HRF bundles of
-    the last grid scored are kept, and `hrf_bundle` caches grids by value.
+    of one run's whitened drift columns.  On a grid, each design yields one
+    run's Gram matrix, from which information matrices at every (theta, p)
+    follow by small quadratic forms summed over the runs; at one point, only
+    the point's Q+2 columns are residualized.  The stacked HRF bundles of the
+    last grid and the weights of the last point are kept, and `hrf_bundle`
+    caches grids by value.
     """
 
     def __init__(self, q_types: int, n_slots: int, isi: float, tr: float,
@@ -171,6 +180,7 @@ class Evaluator:
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
         self._recent_stack: tuple = (None, None)
+        self._recent_point: tuple = (None, None, None)
 
     # -- drift removal -----------------------------------------------------
 
@@ -191,12 +201,16 @@ class Evaluator:
                 f"design (q={d.q_types}, L={len(d)}, isi={d.isi}) does not match "
                 f"evaluator (q={self.q_types}, L={self.n_slots}, isi={self.isi})")
 
+    def _residualize(self, a: np.ndarray) -> np.ndarray:
+        """(I - w{VS}) V a for columns a of one run."""
+        va = self._whiten(a)
+        return va - self.drift_basis @ (self.drift_basis.T @ va)
+
     def residualized(self, d: Design) -> np.ndarray:
         """(I - w{VS}) V X: whitened, drift-residualized design columns of one
         run (n_scans x Q*hrf_length); every run shares them."""
         self._check(d)
-        vx = self._whiten(np.hstack(design_matrix(d, self.tr)))
-        return vx - self.drift_basis @ (self.drift_basis.T @ vx)
+        return self._residualize(np.hstack(design_matrix(d, self.tr)))
 
     def gram(self, d: Design) -> np.ndarray:
         u = self.residualized(d)
@@ -208,15 +222,49 @@ class Evaluator:
         hrf_length block per run offset."""
         return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
+    def _thetas(self, thetas) -> np.ndarray:
+        """The directions as a finite (n, Q) array."""
+        th = np.asarray(list(thetas), dtype=float)
+        th = th.reshape(0, self.q_types) if th.size == 0 else th
+        if th.ndim != 2 or th.shape[1] != self.q_types:
+            raise ConfigurationError(f"thetas must be (n, {self.q_types}) (got {th.shape})")
+        if not np.isfinite(th).all():
+            raise ConfigurationError("thetas must be finite")
+        return th
+
+    # -- one-point route ----------------------------------------------------
+
     def info_matrix(self, d: Design, theta, p: HrfParams) -> np.ndarray:
-        _, m = self._phi_from_gram(self.gram(d), [tuple(np.asarray(theta, dtype=float))], [p])
-        return np.array([[entry[0, 0] for entry in row] for row in m])
+        """M at one (theta, p): X times the point's weights first, then the
+        Gram matrix of each run's Q+2 residualized columns [E L]."""
+        self._check(d)
+        b = self._point_weights(theta, p)
+        c = self._residualize(sum(x @ bq for x, bq in zip(design_matrix(d, self.tr), b)))
+        g, n = c.T @ c, self.q_types + 2
+        return _point_info(g if len(g) == n else g[:n, :n] + g[n:, n:], self.q_types)
 
     def phi_a(self, d: Design, theta, p: HrfParams) -> float:
-        grid = self.phi_a_grid(d, [tuple(np.asarray(theta, dtype=float))], [p])
-        return float(grid[0, 0])
+        return phi_from_info(self.info_matrix(d, theta, p))
 
-    # -- fast grid path -----------------------------------------------------
+    def _point_weights(self, theta, p: HrfParams) -> np.ndarray:
+        """(Q, hrf_length, runs*(Q+2)) weights B, sum_q X_q B_q = [E L] per run.
+        The last point's are kept, found by identity (a tuple theta is its
+        own tuple), as one (theta, p, B) triple that threads replace whole."""
+        theta = tuple(theta)
+        recent_theta, recent_p, recent = self._recent_point
+        if recent_theta is theta and recent_p is p:
+            return recent
+        q, w = self.q_types, self.hrf_length
+        th = self._thetas([theta])[0]
+        h = self.bundle(p).reshape(-1, w, 3).transpose(1, 0, 2)
+        b = np.zeros((q, w, h.shape[1], q + 2))
+        b[range(q), :, :, range(q)] = h[:, :, 0]
+        b[..., q:] = th[:, None, None, None] * h[:, :, 1:]
+        b = b.reshape(q, w, -1)
+        self._recent_point = (theta, p, b)
+        return b
+
+    # -- grid route -----------------------------------------------------------
 
     def phi_a_grid(self, d: Design, thetas, ps) -> np.ndarray:
         """A-criterion values over a product grid: result[i, j] is the value
@@ -247,11 +295,7 @@ class Evaluator:
         information matrices as entries M[a][b], each an (n_thetas, n_ps) array."""
         q, w = self.q_types, self.hrf_length
         ps = ps if isinstance(ps, tuple) else tuple(ps)
-        th = np.asarray(list(thetas), dtype=float)
-        if th.size == 0:
-            th = th.reshape(0, q)
-        if th.ndim != 2 or th.shape[1] != q:
-            raise ConfigurationError(f"thetas must be (n, {q}) (got {th.shape})")
+        th = self._thetas(thetas)
         n_t, n_p = th.shape[0], len(ps)
         w_t, w_all = self._stacked_bundles(ps)
         # h[s, i, a, b, v] = sum_u W_s[u, i] Y[a, u, b, v]: one GEMM for all s
@@ -295,6 +339,15 @@ def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rank1 = (~full) & (lmax > 0)
     den = np.where(full, a * c - b * b, np.where(rank1, lmax ** 2, np.inf))
     return np.where(full, c, a) / den, np.where(full, -b, b) / den, np.where(full, a, c) / den
+
+
+def _point_info(g: np.ndarray, q: int) -> np.ndarray:
+    """M = E'E - E'L pinv(L'L) L'E from the Gram matrix g of [E L] (Q + 2
+    columns), with the grid route's pseudo-inverse and Schur complement."""
+    i00, i01, i11 = _pinv_sym2_batch(g[q, q], g[q, q + 1], g[q + 1, q + 1])
+    el = g[:q, q:]
+    m = g[:q, :q] - (el @ np.array([[i00, i01], [i01, i11]])) @ el.T
+    return 0.5 * (m + m.T)
 
 
 def _phi_batch(m) -> np.ndarray:

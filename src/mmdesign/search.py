@@ -15,7 +15,7 @@ concatenating Q copies (genomes are then the short sequence).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -92,11 +92,12 @@ class SearchResult:
 
 def decode_genome(genome: tuple[int, ...], config: GaConfig) -> Design:
     """Genome to design: identity for the full space, cyclic concatenation of
-    the short sequence for the restricted space."""
+    the short sequence for the restricted space.  Genomes are tuples of ints
+    in 0..Q by construction, so the design is not validated again."""
+    d = Design.unchecked(genome, config.q_types, config.isi)
     if config.space == SPACE_RESTRICTED:
-        short = Design(labels=genome, q_types=config.q_types, isi=config.isi)
-        return cyclic_design(short, config.q_types, config.length)
-    return Design(labels=genome, q_types=config.q_types, isi=config.isi)
+        return cyclic_design(d, config.q_types, config.length)
+    return d
 
 
 @lru_cache(maxsize=64)
@@ -133,9 +134,9 @@ def ga_search(objective, config: GaConfig,
     genomes: list[tuple[int, ...]] = []
     for d in seed_designs:
         g = tuple(d.labels)
-        if len(g) != glen:
-            raise ConfigurationError(
-                f"seed design length {len(g)} does not match genome length {glen}")
+        if len(g) != glen or d.q_types != q:
+            raise ConfigurationError(f"seed design (q={d.q_types}, length {len(g)}) does "
+                                     f"not match the genomes (q={q}, length {glen})")
         genomes.append(g)
     # knowledge-based seeds: the m-sequence (also the immigrants' base) and a block design
     mseq_base = _base_m_sequence(q, glen, config.isi)
@@ -271,9 +272,8 @@ def build_local_opt_table(grid: ParamGrid, ev: Evaluator, ga: GaConfig,
     for idx, (theta, p) in enumerate(points):
         point_seed = int(children[idx].generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
         cfg = replace(ga, seed=point_seed)
-        fitness = maximin_objective(ev, ParamGrid(thetas=(theta,), ps=(p,)))
         seeds = (prev,) if prev is not None else ()
-        result = ga_search(fitness, cfg, seed_designs=seeds)
+        result = ga_search(partial(ev.phi_a, theta=theta, p=p), cfg, seed_designs=seeds)
         if result.best_objective <= 0.0:
             raise NumericalError(
                 f"no estimable design found at theta={theta}, p=({p.p1}, {p.p6})")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmdesign.criteria import apply_perm, label_permutations, perm_matrix
+from mmdesign.criteria import (LocalOptTable, apply_perm, label_permutations, perm_matrix,
+                               relative_efficiency)
 from mmdesign.designs import Design, random_design, relabel
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import (
@@ -19,6 +20,7 @@ from mmdesign.glsmodel import (
     DriftSpec,
     Evaluator,
     NoiseSpec,
+    _point_info,
     drift_matrix,
     info_matrix,
     phi_a,
@@ -342,7 +344,7 @@ def test_phi_a_grid_matches_dense_sweep(q, runs):
                          thetas, p_pairs, runs=runs)
     assert np.all(want > 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
-    # the single-point path goes through the same grid stage
+    # the one-point route (phi_a) against the same reference
     for j, th in enumerate(thetas):
         assert ev.phi_a(designs[0], th, ps[-1]) == pytest.approx(
             ref_phi_a(list(designs[0].labels), q, isi, tr, 0.3, 2, th, *p_pairs[-1],
@@ -382,7 +384,7 @@ def test_information_dominated_by_gram_of_e(q, seed, runs, p1, p6, zero):
     m = ev.info_matrix(d, theta, p)
     gap = np.linalg.eigvalsh(ete - m)
     assert gap[0] >= -1e-9 * np.linalg.norm(ete, 2)
-    # E'E as the Gram path gives it: M at the zero direction, where L = 0.
+    # E'E as the one-point route gives it: M at the zero direction, where L = 0.
     # The reference E'E above differs from it by rounding, which phi_A can
     # amplify by the condition number (1.4e-9 relative at rcond 2e-11).
     ete_gram = ev.info_matrix(d, np.zeros(q), p)
@@ -415,6 +417,7 @@ def test_phi_continuous_across_rank_one_cutoff(q, seed):
     want = phi_from_info(m_exact)
     # eigenvalue ratio of L'L is about s^2 / (|L1|^2 (1 + alpha^2)^2)
     s0 = math.sqrt(LL_RANK_ONE_RATIO) * (big_l1 @ big_l1) ** 0.5 * (1.0 + alpha ** 2)
+    eps = np.finfo(float).eps
     ratios = []
     for s in s0 * np.geomspace(30.0, 1.0 / 30.0, 13):
         l6 = alpha * l1 + s * np.outer(r, c)
@@ -423,32 +426,96 @@ def test_phi_continuous_across_rank_one_cutoff(q, seed):
         big_l = np.column_stack([big_l1, l6 @ theta])
         lam = np.linalg.eigvalsh(big_l.T @ big_l)
         ratios.append(lam[0] / lam[1])
-        got = ev._phi_from_gram(u.T @ u, [tuple(theta)], (p,))[0][0, 0]
-        assert got == pytest.approx(want, rel=64 * math.sqrt(np.finfo(float).eps)), \
-            (s, ratios[-1])
+        values, m = ev._phi_from_gram(u.T @ u, [tuple(theta)], (p,))
+        got = values[0, 0]
+        assert got == pytest.approx(want, rel=64 * math.sqrt(eps)), (s, ratios[-1])
+        # the one-point route from the same columns: [E L] = U B, then their
+        # (Q+2)^2 Gram.  Off the cutoff both routes take the same branch.
+        # Their M agree to a few eps relative to E'E (worst 8e-13 over 3,000
+        # draws: U's columns pass through pinv(b), of norm 18), plus, on the
+        # full-rank side, the eps / ratio each route errs by there (see
+        # LL_RANK_ONE_RATIO): 3e-11 at a ratio of 4e-7.
+        if abs(math.log(ratios[-1] / LL_RANK_ONE_RATIO)) > 1e-4:
+            cols = sum(u[:, a * ev.hrf_length:(a + 1) * ev.hrf_length] @ b
+                       for a, b in enumerate(ev._point_weights(tuple(theta), p)))
+            point_m = _point_info(cols.T @ cols, q)
+            grid_m = np.array([[m[a][b][0, 0] for b in range(q)] for a in range(q)])
+            rel = 4e-12 + (8 * eps / ratios[-1] if ratios[-1] > LL_RANK_ONE_RATIO else 0.0)
+            assert np.abs(point_m - grid_m).max() <= rel * np.abs(e.T @ e).max()
     assert min(ratios) < LL_RANK_ONE_RATIO < max(ratios)
 
 
+@given(q=st.integers(1, 3), runs=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       p1=st.floats(6.0, 9.0), p6=st.floats(0.0, 2.0), zero=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_point_route_matches_grid_route(q, runs, seed, p1, p6, zero):
+    # phi_a and info_matrix multiply X by the HRF bundle first and
+    # residualize Q + 2 columns; phi_a_grid residualizes all Q*K columns and
+    # goes through their Gram matrix.  At p6 = 40 the whole response lies
+    # past the window, and both routes must give an exact, quiet zero.
+    ev = make_eval(q=q, length=24, isi=2.5, tr=2.5, runs=runs)
+    d = random_design(q, 24, 2.5, seed=seed)
+    theta = (0.0,) * q if zero else tuple(np.random.default_rng(seed).normal(size=q))
+    ps = (HrfParams(p1, p6), HrfParams(6.0, 40.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid_values, m = ev._phi_from_gram(ev.gram(d), [theta], ps)  # phi_a_grid's and M
+        values = [ev.phi_a(d, theta, p) for p in ps]
+        infos = [ev.info_matrix(d, theta, p) for p in ps]
+    assert values[1] == 0.0 == grid_values[0, 1]
+    assert np.all(infos[1] == 0.0)
+    assert values[0] == pytest.approx(grid_values[0, 0], rel=1e-12, abs=0.0)
+    grid_m = np.array([[m[a][b][0, 0] for b in range(q)] for a in range(q)])
+    assert np.abs(infos[0] - grid_m).max() <= 1e-12 * np.abs(grid_m).max()
+
+
+@pytest.mark.parametrize("theta", [(math.nan, 1.0), (math.inf, 0.0), (0.6, -math.inf)])
+def test_non_finite_theta_rejected(theta):
+    # NaN and inf directions used to score 0.0 (inf with a RuntimeWarning) or
+    # give an all-NaN M; both routes now refuse them
+    ev = make_eval(q=2, length=40)
+    d = random_design(2, 40, 4.0, seed=7)
+    p = HrfParams(6.0, 0.0)
+    table = LocalOptTable(q_types=2, isi=4.0)
+    calls = [lambda: ev.phi_a(d, theta, p), lambda: ev.info_matrix(d, theta, p),
+             lambda: ev.phi_a_grid(d, [(0.6, 0.8), theta], [p]),
+             lambda: relative_efficiency(d, theta, p, table, 2.0, NoiseSpec(), DriftSpec())]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="thetas must be finite"):
+            call()
+    for call in (lambda: ev.phi_a(d, (1.0, 0.0, 0.0), p),
+                 lambda: ev.phi_a_grid(d, [(1.0, 0.0, 0.0)], [p])):
+        with pytest.raises(ConfigurationError, match=r"thetas must be \(n, 2\)"):
+            call()
+
+
 def test_stacked_bundles_shared_by_threads():
-    # one evaluator scores 12 grids of 1-3 p points from 8 threads that switch
-    # as often as the interpreter allows: every result must be its serial value
+    # one evaluator scores 12 grids of 1-3 p points, and one point of each,
+    # from 8 threads that switch as often as the interpreter allows: every
+    # result must be its serial value, whichever grid or point the kept
+    # bundles and weights belong to
     d = random_design(1, 9, 4.0, seed=60)
     thetas = [(1.0,)]
     grids = [tuple(HrfParams(6.0 + 0.25 * k + 0.1 * j, 0.5) for j in range(1 + k % 3))
              for k in range(12)]
     want = [make_eval().phi_a_grid(d, thetas, ps) for ps in grids]
+    want_point = [make_eval().phi_a(d, thetas[0], ps[0]) for ps in grids]
     ev = make_eval()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(ev.phi_a_grid, d, thetas, grids[k % len(grids)])
+            futures = [(pool.submit(ev.phi_a_grid, d, thetas, grids[k % len(grids)]),
+                        pool.submit(ev.phi_a, d, thetas[0], grids[k % len(grids)][0]))
                        for k in range(4000)]
-            got = [f.result(timeout=60) for f in futures]
+            got = [f.result(timeout=60) for f, _ in futures]
+            got_point = [f.result(timeout=60) for _, f in futures]
     finally:
         sys.setswitchinterval(old)
     for k, values in enumerate(got):
         assert np.array_equal(values, want[k % len(grids)]), k
+    for k, value in enumerate(got_point):
+        assert value == want_point[k % len(grids)], k
 
 
 def test_phi_a_grid_empty_inputs():

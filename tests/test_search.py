@@ -72,6 +72,22 @@ def test_decode_genome_full_and_restricted():
     assert d == cyclic_design(short, 2, 6)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("space", ["xi", "xi0"])
+def test_decode_genome_equals_validated_design(q, space):
+    # decode_genome skips Design's validation; the result must still be the
+    # validated design: the same tuple of Python ints, types and isi
+    cfg = GaConfig(q_types=q, length=23, isi=2.5, space=space)
+    rng = np.random.default_rng(q)
+    for _ in range(20):
+        genome = tuple(rng.integers(0, q + 1, size=cfg.genome_length).tolist())
+        got = decode_genome(genome, cfg)
+        short = Design(labels=genome, q_types=q, isi=2.5)
+        want = short if space == "xi" else cyclic_design(short, q, 23)
+        assert got == want and hash(got) == hash(want)  # labels, q_types and isi
+        assert type(got.labels) is tuple and all(type(x) is int for x in got.labels)
+
+
 # -- search behavior -------------------------------------------------------------
 
 def test_search_is_deterministic_per_seed():
@@ -143,6 +159,15 @@ def test_seed_designs_must_match_genome_length():
     cfg = GaConfig(q_types=2, length=12, isi=4.0, space="xi0", max_evaluations=100)
     wrong = random_design(2, 12, 4.0, seed=0)  # full-length, not the short form
     with pytest.raises(ConfigurationError):
+        ga_search(count_ones, cfg, seed_designs=(wrong,))
+
+
+def test_seed_designs_must_match_types():
+    # decode_genome trusts genomes to lie in 0..Q, so a seed with more types
+    # than the search must be refused up front
+    cfg = GaConfig(q_types=1, length=12, isi=4.0, max_evaluations=100)
+    wrong = random_design(3, 12, 4.0, seed=0)
+    with pytest.raises(ConfigurationError, match=r"q=3, length 12"):
         ga_search(count_ones, cfg, seed_designs=(wrong,))
 
 
@@ -264,10 +289,10 @@ class PointwiseStub:
     """Stands in for an Evaluator: a weighted label sum whose weights shift
     with the grid point, so every point has its own optimum."""
 
-    def phi_a_grid(self, d, thetas, ps):
-        shift = int(round(2 * ps[0].p1 + 4 * ps[0].p6))
+    def phi_a(self, d, theta, p):
+        shift = int(round(2 * p.p1 + 4 * p.p6))
         w = [((7 * i + shift) % 5) - 2 for i in range(len(d))]
-        return np.array([[100.0 + sum(a * x for a, x in zip(w, d.labels))]])
+        return 100.0 + sum(a * x for a, x in zip(w, d.labels))
 
 
 def test_build_table_is_pinned():
