@@ -94,6 +94,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be >= 1 (got {getattr(self, name)})")
         if min(self.seeds, default=0) < 0:
             raise ConfigurationError(f"seeds must be >= 0 (got {min(self.seeds)})")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError("seeds must be distinct")
         self._noise = NoiseSpec(rho=self.rho, runs=self.runs, run_shift=self.run_shift)
 
     @classmethod

@@ -159,10 +159,9 @@ def delta_t(isi: float, tr: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _scan_index(n_labels: int, isi: float, tr: float) -> tuple[int, np.ndarray]:
-    """Slots per onset spacing and the read-only (T, K) index of the onset
-    slot k height-grid steps before scan t; -1 marks slots before the run
-    starts, which read a zero pad."""
+def _scan_index(n_labels: int, isi: float, tr: float) -> tuple[int, int, int, int]:
+    """Slots per onset spacing, slots per scan, the number of scans T and
+    the number of heights K, on the height grid of step delta_t(isi, tr)."""
     delta = delta_t(isi, tr)
     risi = int(round(isi / delta))
     rtr = int(round(tr / delta))
@@ -170,10 +169,7 @@ def _scan_index(n_labels: int, isi: float, tr: float) -> tuple[int, np.ndarray]:
     if n_slots % rtr != 0:
         raise ConfigurationError(
             f"L*isi must be a whole number of scans (L={n_labels}, isi={isi}, tr={tr})")
-    idx = (np.arange(n_slots // rtr) * rtr)[:, None] - np.arange(default_hrf_length(delta))
-    idx[idx < 0] = -1
-    idx.flags.writeable = False
-    return risi, idx
+    return risi, rtr, n_slots // rtr, default_hrf_length(delta)
 
 
 def design_matrix(d: Design, tr: float) -> tuple[np.ndarray, ...]:
@@ -184,12 +180,15 @@ def design_matrix(d: Design, tr: float) -> tuple[np.ndarray, ...]:
     steps before scan time t*TR.  Contributions past the end of the experiment
     are discarded with the final scans.
     """
-    risi, idx = _scan_index(len(d), d.isi, tr)
-    n_slots = len(d) * risi
-    # one row per label 0..Q; the last column is the zero pad idx -1 reads
-    u = np.zeros((d.q_types + 1, n_slots + 1))
-    u[d.labels, np.arange(0, n_slots, risi)] = 1.0
-    return tuple(u[1:].take(idx, axis=1))
+    risi, rtr, n_scans, k = _scan_index(len(d), d.isi, tr)
+    # one row per label 0..Q of onsets after K - 1 zero slots: entry [t, k] of
+    # X_q is slot K - 1 + t*rtr - k of row q, a window read backwards
+    u = np.zeros((d.q_types + 1, k - 1 + len(d) * risi))
+    u[np.fromiter(d.labels, np.intp, len(d)), np.arange(k - 1, u.shape[1], risi)] = 1.0
+    s0, s1 = u.strides
+    x = np.ndarray((d.q_types, n_scans, k), buffer=u, offset=s0 + (k - 1) * s1,
+                   strides=(s0, rtr * s1, -s1))
+    return tuple(x.copy())
 
 
 # ---------------------------------------------------------------------------

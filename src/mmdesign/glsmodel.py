@@ -32,8 +32,9 @@ caches them by value; the evaluator keeps the last grid's transposed copy.
 
 One point (`phi_a`, `info_matrix`): X times the point's HRF bundle and theta
 first, which gives the Q+2 columns [E L] of each run; only those are
-residualized, and the same pseudo-inverse and Schur complement act on their
-(Q+2) x (Q+2) Gram matrix.  The evaluator keeps the last point's weights.
+residualized, and the same Schur complement, with the pseudo-inverse on
+Python floats (`_pinv_sym2`), acts on their (Q+2) x (Q+2) Gram matrix.  The
+evaluator keeps the last point's weights.
 
 Two runs present one sequence, the second with its HRF sampled `run_shift`
 seconds later; `NoiseSpec` holds both the run count and the shift.  The runs
@@ -176,7 +177,7 @@ class Evaluator:
         self.hrf_length = default_hrf_length(self.delta)
         # the one place that knows the run count: one HRF sampling per run
         self.offsets = (0.0,) if noise.runs == 1 else (0.0, noise.run_shift)
-        s = drift_matrix(_scan_index(n_slots, isi, tr)[1].shape[0], drift.order)
+        s = drift_matrix(_scan_index(n_slots, isi, tr)[2], drift.order)
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
         self._recent_stack: tuple = (None, None)
@@ -341,10 +342,27 @@ def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(full, c, a) / den, np.where(full, -b, b) / den, np.where(full, a, c) / den
 
 
+def _pinv_sym2(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """`_pinv_sym2_batch` of one block of Python floats, operation for
+    operation as on numpy scalars (which square by `pow`, as floats do);
+    where floats would raise, numpy's inf and nan come from the batch form."""
+    try:
+        t = a + c
+        s = math.sqrt((a - c) ** 2 + 4.0 * b * b)
+        lmax, lmin = 0.5 * (t + s), 0.5 * (t - s)
+        if lmin > LL_RANK_ONE_RATIO * lmax:
+            den = a * c - b * b
+            return c / den, -b / den, a / den
+        den = lmax ** 2 if lmax > 0 else math.inf
+        return a / den, b / den, c / den
+    except (OverflowError, ZeroDivisionError):
+        return _pinv_sym2_batch(np.float64(a), np.float64(b), np.float64(c))
+
+
 def _point_info(g: np.ndarray, q: int) -> np.ndarray:
     """M = E'E - E'L pinv(L'L) L'E from the Gram matrix g of [E L] (Q + 2
-    columns), with the grid route's pseudo-inverse and Schur complement."""
-    i00, i01, i11 = _pinv_sym2_batch(g[q, q], g[q, q + 1], g[q + 1, q + 1])
+    columns), with the grid route's Schur complement."""
+    i00, i01, i11 = _pinv_sym2(g.item(q, q), g.item(q, q + 1), g.item(q + 1, q + 1))
     el = g[:q, q:]
     m = g[:q, :q] - (el @ np.array([[i00, i01], [i01, i11]])) @ el.T
     return 0.5 * (m + m.T)

@@ -74,6 +74,7 @@ class GaConfig:
 @dataclass(frozen=True)
 class SearchResult:
     best_design: Design
+    best_genome: tuple[int, ...]  # best_design's genome: its short sequence for xi0
     best_objective: float
     trace: tuple[float, ...]  # best objective after each generation
     n_evaluations: int
@@ -109,6 +110,11 @@ def _base_m_sequence(q_types: int, genome_length: int, isi: float) -> tuple[int,
     return d.labels
 
 
+@lru_cache(maxsize=64)
+def _block_genome(q_types: int, size: int, length: int) -> tuple[int, ...]:
+    return block_design(q_types, size, length, 1.0).labels  # the isi is not in the labels
+
+
 def ga_search(objective, config: GaConfig,
               seed_designs: tuple[Design, ...] = ()) -> SearchResult:
     """Maximize `objective` (a pure function of a Design) under the budget.
@@ -142,7 +148,7 @@ def ga_search(objective, config: GaConfig,
     mseq_base = _base_m_sequence(q, glen, config.isi)
     if mseq_base is not None:
         genomes.append(mseq_base)
-    genomes.append(block_design(q, 4, glen, config.isi).labels)
+    genomes.append(_block_genome(q, 4, glen))
     seen = set()
     unique = []
     for g in genomes:
@@ -176,26 +182,28 @@ def ga_search(objective, config: GaConfig,
             cut = int(rng.integers(1, glen)) if glen > 1 else 0
             candidates.append(ga[:cut] + gb[cut:])
             candidates.append(gb[:cut] + ga[cut:])
+        # only the candidates the budget scores are built: the generator is
+        # not read after the last generation, so the trimming is exact
+        room = budget - n_evals
+        candidates = candidates[:room]
         # positionwise mutation of every child, uniform resample over {0..Q}
-        mutated = []
-        for g in candidates:
-            mask = rng.random(glen) < mut_rate
+        for j, g in enumerate(candidates):
+            flips = np.flatnonzero(rng.random(glen) < mut_rate).tolist()
             vals = rng.integers(0, q + 1, size=glen)
-            arr = np.where(mask, vals, np.asarray(g))
-            mutated.append(tuple(arr.tolist()))
-        candidates = mutated
-        for i in range(config.immigrant_count):
+            child = list(g)
+            for i, v in zip(flips, vals[flips].tolist()):
+                child[i] = v
+            candidates[j] = tuple(child)
+        for i in range(min(config.immigrant_count, room - len(candidates))):
             kind = i % 3
             if kind == 0:
                 size = int(rng.integers(1, 9))
-                candidates.append(block_design(q, size, glen, config.isi).labels)
+                candidates.append(_block_genome(q, size, glen))
             elif kind == 1 and mseq_base is not None:
                 shift = int(rng.integers(0, glen))
                 candidates.append(mseq_base[shift:] + mseq_base[:shift])
             else:
                 candidates.append(random_genome())
-        room = budget - n_evals
-        candidates = candidates[:room]
         if not candidates:
             break
         population.extend(evaluate(candidates))
@@ -217,6 +225,7 @@ def ga_search(objective, config: GaConfig,
     best_val, best_genome = population[0]
     return SearchResult(
         best_design=decode_genome(best_genome, config),
+        best_genome=best_genome,
         best_objective=best_val,
         trace=tuple(trace),
         n_evaluations=n_evals,
@@ -268,7 +277,7 @@ def build_local_opt_table(grid: ParamGrid, ev: Evaluator, ga: GaConfig,
         q_types=ga.q_types, isi=ga.isi)
     points = list(grid.points())
     children = np.random.SeedSequence(ga.seed).spawn(len(points))
-    prev: Design | None = None
+    prev: Design | None = None  # the previous point's best genome, as a Design
     for idx, (theta, p) in enumerate(points):
         point_seed = int(children[idx].generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
         cfg = replace(ga, seed=point_seed)
@@ -278,7 +287,7 @@ def build_local_opt_table(grid: ParamGrid, ev: Evaluator, ga: GaConfig,
             raise NumericalError(
                 f"no estimable design found at theta={theta}, p=({p.p1}, {p.p6})")
         table.put(theta, p, result.best_objective, result.best_design)
-        prev = result.best_design
+        prev = Design.unchecked(result.best_genome, ga.q_types, ga.isi)
         if progress is not None:
             progress(idx + 1, len(points))
     return table

@@ -459,6 +459,9 @@ def test_exit_code_non_utf8_file(tmp_path, bad_file, code):
     (["generate", "random", "--q", "-1"], "q_types"),
     (["search-maximin", "--q", "0"], "q_types"),
     (["search-maximin", "--length", "-5"], "length"),
+    # one search per seed: a repeat would run twice and write two rows for
+    # one design file
+    (["search-maximin", "--seed", "1", "--seed", "1"], "seeds must be distinct"),
 ])
 def test_exit_code_negative_seed_or_size(tmp_path, args, key):
     result = run_cli([*args, "--out", str(tmp_path / "out")])
@@ -469,7 +472,8 @@ def test_exit_code_negative_seed_or_size(tmp_path, args, key):
 
 def test_exit_code_config_seed_and_size(tmp_path):
     design = write_design(tmp_path, [1, 0] * 6)
-    for key, value in (("seeds", [0, -3]), ("q_types", 0), ("length", 0)):
+    for key, value in (("seeds", [0, -3]), ("seeds", [3, 0, 3]), ("q_types", 0),
+                       ("length", 0)):
         cfg = write_config(tmp_path, **{key: value})
         result = run_cli(["evaluate", design, "--config", cfg])
         assert_clean_exit(result, 2)

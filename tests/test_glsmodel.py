@@ -20,6 +20,9 @@ from mmdesign.glsmodel import (
     DriftSpec,
     Evaluator,
     NoiseSpec,
+    _eig_sym2,
+    _pinv_sym2,
+    _pinv_sym2_batch,
     _point_info,
     drift_matrix,
     info_matrix,
@@ -389,6 +392,46 @@ def test_information_dominated_by_gram_of_e(q, seed, runs, p1, p6, zero):
     # amplify by the condition number (1.4e-9 relative at rcond 2e-11).
     ete_gram = ev.info_matrix(d, np.zeros(q), p)
     assert 0.0 <= phi_from_info(m) <= phi_from_info(ete_gram)
+
+
+def _sym2_blocks(kind, n, rng):
+    """n symmetric PSD 2x2 blocks (a, b, c) of one kind, as float arrays."""
+    if kind == "psd":
+        x = rng.normal(size=(n, 5, 2)) * np.exp(rng.normal(size=(n, 1, 2)))
+        g = np.einsum("nki,nkj->nij", x, x)
+        return g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+    if kind == "rank-one":
+        u, v = rng.normal(size=(2, n)) * np.exp(3 * rng.normal(size=n))
+        return u * u, u * v, v * v
+    if kind == "zero":
+        return np.zeros(n), np.zeros(n), np.zeros(n)
+    # eigenvalue ratio within a factor 2 of the rank-one cutoff, on both
+    # sides, with off-diagonals of both signs
+    lmax = np.exp(3 * rng.normal(size=n))
+    lmin = lmax * LL_RANK_ONE_RATIO * np.exp(rng.uniform(-math.log(2), math.log(2), n))
+    phi = rng.uniform(-math.pi, math.pi, n)
+    cs, sn = np.cos(phi), np.sin(phi)
+    return (lmax * cs * cs + lmin * sn * sn, (lmax - lmin) * cs * sn,
+            lmax * sn * sn + lmin * cs * cs)
+
+
+@pytest.mark.parametrize("kind", ["psd", "rank-one", "near-rank-one", "zero"])
+def test_pinv_sym2_is_the_batch_form_on_one_block(kind):
+    # the one-point route's float twin must repeat the batch form bit for bit
+    # on the numpy scalars it replaced, or table.json would move
+    rng = np.random.default_rng(["psd", "rank-one", "near-rank-one", "zero"].index(kind))
+    a, b, c = _sym2_blocks(kind, 20_000, rng)
+    for ai, bi, ci in zip(a, b, c):  # numpy scalars
+        want = _pinv_sym2_batch(ai, bi, ci)
+        got = _pinv_sym2(float(ai), float(bi), float(ci))
+        assert got == want, (ai, bi, ci, got, want)
+    if kind == "near-rank-one":  # both branches drawn
+        _, lmax, lmin = _eig_sym2(a, b, c)
+        assert 0 < np.sum(lmin > LL_RANK_ONE_RATIO * lmax) < len(a)
+    # where Python floats would raise, numpy's overflow to inf is kept
+    with np.errstate(over="ignore"):
+        assert _pinv_sym2(1e300, 0.0, 1.0) == _pinv_sym2_batch(
+            np.float64(1e300), np.float64(0.0), np.float64(1.0)) == (0.0, 0.0, 0.0)
 
 
 @given(q=st.integers(1, 2), seed=st.integers(0, 10 ** 6))

@@ -277,12 +277,28 @@ def digest(obj) -> str:
      52.0, 200, 10, "4e19c8eed7905eb2"),
     (GaConfig(q_types=3, length=12, isi=4.0, max_evaluations=300, seed=13),
      18.0, 300, 15, "7e552d1573b1b122"),
+    # one generation, cut to 5 of its 21 candidates by the budget
+    (GaConfig(q_types=1, length=40, isi=4.0, max_evaluations=25, seed=14),
+     9.0, 25, 2, "9484ef72fd4da88b"),
+    # 4-slot genomes: 64 distinct in 150 evaluations, children repeat members
+    (GaConfig(q_types=2, length=8, isi=4.0, space="xi0", max_evaluations=150, seed=15),
+     7.0, 150, 8, "8b407d95cba6a062"),
 ])
 def test_ga_trajectory_is_pinned(cfg, objective, evaluations, generations, sha):
     out = ga_search(weighted_labels, cfg).to_json_dict()
     assert (out["objective"], out["evaluations"], len(out["trace"])) == \
         (objective, evaluations, generations)
     assert digest(out) == sha
+
+
+def test_every_evaluation_is_one_objective_call():
+    # repeated genomes are scored again: callers that wrap the objective
+    # count its calls as the evaluations
+    calls = []
+    cfg = GaConfig(q_types=2, length=8, isi=4.0, space="xi0", max_evaluations=150, seed=15)
+    res = ga_search(lambda d: calls.append(d.labels) or weighted_labels(d), cfg)
+    assert len(calls) == res.n_evaluations == 150
+    assert len(set(calls)) == 64
 
 
 class PointwiseStub:
@@ -293,6 +309,20 @@ class PointwiseStub:
         shift = int(round(2 * p.p1 + 4 * p.p6))
         w = [((7 * i + shift) % 5) - 2 for i in range(len(d))]
         return 100.0 + sum(a * x for a, x in zip(w, d.labels))
+
+
+def test_restricted_space_table_decodes_its_genomes():
+    # xi0 genomes are ceil(L/Q) slots; every point after the first is
+    # warm-started from the previous point's genome, not its decoded design
+    ga = GaConfig(q_types=2, length=12, isi=4.0, space="xi0", population_size=10,
+                  crossover_pairs=4, max_evaluations=30, seed=4)
+    grid = make_grid(2, "search", p_step=3.0, phi_step=1.5)
+    table = build_local_opt_table(grid, PointwiseStub(), ga)
+    assert len(list(grid.points())) >= 2
+    for th, p in grid.points():
+        d = table.entry(th, p).design
+        assert len(d) == 12
+        assert d == decode_genome(d.labels[:6], ga)
 
 
 def test_build_table_is_pinned():
