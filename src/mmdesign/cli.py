@@ -27,8 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import (GRID_PRESETS, LocalOptTable, MinResult, ParamGrid, make_grid,
-                       min_phi_a, min_re, min_rg, theta_to_angles, worst_case)
+from .criteria import (LocalOptTable, MinResult, ParamGrid, make_grid,
+                       min_phi_a, min_re, min_rg, theta_to_angles, with_rg_directions,
+                       worst_case)
 from .designs import (Design, block_design, constrained_random, cyclic_design,
                       extend_m_sequence, load_design, m_sequence,
                       m_sequence_design, m_sequence_params, random_design,
@@ -150,25 +151,15 @@ class ExperimentConfig:
         return get_evaluator(self.q_types, n_slots if n_slots is not None else self.length,
                              self.isi, self.tr, self._noise, self.drift())
 
-    def _preset(self, default_preset: str | None = None) -> str:
-        """The `grid` preset, or `default_preset` when `grid` is unset; with no
-        default, the searches' final-report grid `report_grid`, which `grid`
-        does not override."""
-        if default_preset is None:
-            return self.report_grid
-        return self.grid if self.grid is not None else default_preset
-
     def make_grid(self, default_preset: str | None = None,
                   include_zero: bool = False) -> ParamGrid:
-        return make_grid(self.q_types, preset=self._preset(default_preset), region=self.region,
-                         include_zero=include_zero, p_step=self.p_step,
-                         phi_step=self.phi_step)
-
-    def grid_phi_step(self, default_preset: str | None = None) -> float:
-        """The amplitude step of `make_grid(default_preset)`."""
-        if self.phi_step is not None:
-            return self.phi_step
-        return GRID_PRESETS[self._preset(default_preset)][1]
+        """The grid of the `grid` preset, or of `default_preset` when `grid` is
+        unset; with no default, the searches' final-report grid `report_grid`,
+        which `grid` does not override."""
+        preset = (self.report_grid if default_preset is None
+                  else self.grid if self.grid is not None else default_preset)
+        return make_grid(self.q_types, preset=preset, region=self.region,
+                         include_zero=include_zero, p_step=self.p_step, phi_step=self.phi_step)
 
     def ga_config(self, seed: int) -> GaConfig:
         return GaConfig(q_types=self.q_types, length=self.length, isi=self.isi,
@@ -221,34 +212,42 @@ def write_csv(path: str, header: list[str], grid: ParamGrid, blocks) -> None:
     p6): `name` unless None, CSV-quoted if it has a comma, quote or newline;
     the point's p1, p6, phi_* and theta_*; one cell per array in `columns`,
     each shaped like `Evaluator.phi_a_grid` values.  Numbers are rendered as
-    `fmt_float` does; point cells once per call, each array in one pass."""
+    `fmt_float` does; point cells once per call, one direction's rows at a time."""
     p_cells = [f"{fmt_float(p.p1)},{fmt_float(p.p6)}," for p in grid.ps]
     th_cells = ["".join(f"{fmt_float(x)}," for x in (*theta_to_angles(th), *th))
                 for th in grid.thetas]
-    points = [pc + tc for tc in th_cells for pc in p_cells]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for name, columns in blocks:
             buf = io.StringIO()  # the name cell and its comma, as csv.writer quotes them
             csv.writer(buf, lineterminator="\n").writerow([] if name is None else [name, ""])
             lead = buf.getvalue()[:-1]
-            cells = [f"{v:.12g}" for v in columns[0].ravel().tolist()]
-            for col in columns[1:]:
-                cells = [f"{c},{v:.12g}" for c, v in zip(cells, col.ravel().tolist())]
-            fh.writelines([f"{lead}{pt}{c}\n" for pt, c in zip(points, cells)])
+            for i, tc in enumerate(th_cells):
+                cells = [f"{v:.12g}" for v in columns[0][i].tolist()]
+                for col in columns[1:]:
+                    cells = [f"{c},{v:.12g}" for c, v in zip(cells, col[i].tolist())]
+                fh.writelines([f"{lead}{pc}{tc}{c}\n" for pc, c in zip(p_cells, cells)])
 
 
 class _RunClock:
     """Worker count (`--threads`), start time and clocks of one command, taken
-    once its configuration is resolved; `finish` stops the clocks and writes
-    them to run_meta.json."""
+    once its configuration is resolved; `lap` ends a stage, and `finish` ends
+    the last, "write", and writes clocks and stages to run_meta.json."""
 
     def __init__(self, args) -> None:
         self.threads = resolve_threads(args.threads)
         self.started = _now_iso()
         self.t0, self.c0 = time.perf_counter(), time.process_time()
+        self.last, self.stage_s = self.t0, {}
+
+    def lap(self, stage: str) -> None:
+        """Add the seconds since the previous lap (or the start) to `stage`."""
+        now = time.perf_counter()
+        self.stage_s[stage] = self.stage_s.get(stage, 0.0) + (now - self.last)
+        self.last = now
 
     def finish(self, outdir: str, extra: dict | None = None) -> None:
+        self.lap("write")
         wall_s, cpu_s = time.perf_counter() - self.t0, time.process_time() - self.c0
         meta = {
             "argv": sys.argv,
@@ -257,6 +256,7 @@ class _RunClock:
             "wall_time_s": wall_s,
             "cpu_time_s": cpu_s,
             "threads": self.threads,
+            "stage_s": self.stage_s,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             **(extra or {}),
@@ -303,6 +303,23 @@ def _load_table(path: str, cfg: ExperimentConfig) -> LocalOptTable:
         raise TableFormatError(f"table {path} is not valid JSON: {e}") from e
 
 
+def _score(cfg: ExperimentConfig, d: Design, grid: ParamGrid, denom=None, rg: bool = False
+           ) -> tuple[list[np.ndarray], dict]:
+    """`d` on `grid` from one `phi_a_grid` pass: its CSV columns (values, then
+    relative efficiencies against the table's denominators `denom`) and its
+    worst cases min_phi_a and min_re, then min_rg when `rg` is set."""
+    thetas = with_rg_directions(grid.thetas, d.q_types, grid.phi_step) if rg else grid.thetas
+    values = cfg.evaluator(len(d)).phi_a_grid(d, thetas, grid.ps)
+    columns = [values[:len(grid.thetas)]]
+    columns += [] if denom is None else [columns[0] / denom]
+    worst = {key: min_result_dict(worst_case(c, grid))
+             for key, c in zip(("min_phi_a", "min_re"), columns)}
+    if rg:
+        worst["min_rg"] = min_rg(d, grid.ps, cfg.tr, cfg.noise(), cfg.drift(),
+                                 phi_step=grid.phi_step, scored=(thetas, values))
+    return columns, worst
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -313,22 +330,16 @@ def cmd_evaluate(args) -> int:
     d = _load_design_checked(args.design, cfg)
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
-    values = cfg.evaluator(len(d)).phi_a_grid(d, grid.thetas, grid.ps)
-    re_values = values / table.denominators(grid) if table is not None else None
-    summary = {
-        "design_file": args.design,
-        "q_types": d.q_types,
-        "length": len(d),
-        "isi": d.isi,
-        "grid_points": grid.n_points,
-        "min_phi_a": min_result_dict(worst_case(values, grid)),
-    }
-    if re_values is not None:
-        summary["min_re"] = min_result_dict(worst_case(re_values, grid))
+    denom = table.denominators(grid) if table is not None else None
+    run.lap("setup")
+    columns, worst = _score(cfg, d, grid, denom)
+    run.lap("scoring")
+    summary = {"design_file": args.design, "q_types": d.q_types, "length": len(d),
+               "isi": d.isi, "grid_points": grid.n_points, **worst}
+    run.lap("report")
     outdir = _ensure_out(cfg)
     write_csv(os.path.join(outdir, "evaluation.csv"),
-              grid_header(d.q_types, with_re=re_values is not None), grid,
-              [(None, [c for c in (values, re_values) if c is not None])])
+              grid_header(d.q_types, with_re=denom is not None), grid, [(None, columns)])
     write_json(os.path.join(outdir, "evaluation.json"), summary)
     run.finish(outdir)
     print(f"min phi_a {fmt_float(summary['min_phi_a']['value'])} at "
@@ -386,28 +397,24 @@ def cmd_generate(args) -> int:
 # searches
 # ---------------------------------------------------------------------------
 
-def _search_and_report(cfg: ExperimentConfig, objective, threads: int, grid: ParamGrid,
-                       table: LocalOptTable | None = None
-                       ) -> tuple[list[SearchResult], list[MinResult]]:
-    """One search per seed, up to `threads` at once, in seed order, and each
-    best design's worst case on `grid`: min_phi_a, or min_re against `table`."""
+def _search_and_report(cfg: ExperimentConfig, run: _RunClock, objective, report
+                       ) -> tuple[list[SearchResult], list]:
+    """One search per seed, `run.threads` at a time, then `report` of each best design."""
     results = parallel_map(lambda seed: ga_search(objective, cfg.ga_config(seed)),
-                           cfg.seeds, threads)
-    noise, drift = cfg.noise(), cfg.drift()
-    if table is None:
-        return results, [min_phi_a(r.best_design, grid, cfg.tr, noise, drift)
-                         for r in results]
-    return results, [min_re(r.best_design, grid, table, cfg.tr, noise, drift)
-                     for r in results]
+                           cfg.seeds, run.threads)
+    run.lap("search")
+    reports = [report(r.best_design) for r in results]
+    run.lap("report")
+    return results, reports
 
 
-def _finish_search(cfg: ExperimentConfig, run: _RunClock, results: list[SearchResult],
-                   criterion: str, reports: list[MinResult], row_extras: list[dict],
-                   summary_extras: dict) -> int:
-    """Report one search per seed: `reports` holds each best design's worst
-    case under `criterion`, `row_extras` more fields of its summary row, and
-    `summary_extras` more summary fields, placed after the config."""
-    finals = [mr.value for mr in reports]
+def _search_command(cfg: ExperimentConfig, run: _RunClock, objective, criterion: str,
+                    report, summary_extras: dict) -> int:
+    """Search once per seed and report each best design: `report(design)` gives
+    its worst case under `criterion` (a `min_result_dict`) and more fields of
+    its summary row; `summary_extras` are more summary fields, after the config."""
+    results, reports = _search_and_report(cfg, run, objective, report)
+    finals = [report[criterion]["value"] for report in reports]
     best_idx = _best_index(finals)
     mean, stderr = mean_and_stderr(finals)
     stats = {"max": max(finals), "mean": mean,
@@ -417,9 +424,9 @@ def _finish_search(cfg: ExperimentConfig, run: _RunClock, results: list[SearchRe
         "config": cfg.to_json_dict(),
         **summary_extras,
         "per_seed": [{"seed": seed, "search_objective": r.best_objective,
-                      criterion: min_result_dict(mr), "evaluations": r.n_evaluations,
-                      "generations": len(r.trace) - 1, **extra}
-                     for seed, r, mr, extra in zip(cfg.seeds, results, reports, row_extras)],
+                      criterion: report.pop(criterion), "evaluations": r.n_evaluations,
+                      "generations": len(r.trace) - 1, **report}
+                     for seed, r, report in zip(cfg.seeds, results, reports)],
         "stats": stats,
         "best_seed": cfg.seeds[best_idx],
         f"best_{criterion}": finals[best_idx],
@@ -445,13 +452,14 @@ def cmd_search_maximin(args) -> int:
     run = _RunClock(args)
     objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
     grid = cfg.make_grid()
-    results, reports = _search_and_report(cfg, objective, run.threads, grid)
-    with_rg = cfg.q_types >= 2 and cfg.region == "theta0"
-    # the bound covers the report grid's p points, as in `compare --rg`
-    extras = [{"min_rg": min_rg(r.best_design, grid.ps, cfg.tr, cfg.noise(), cfg.drift(),
-                                phi_step=cfg.grid_phi_step())}
-              if with_rg else {} for r in results]
-    return _finish_search(cfg, run, results, "min_phi_a", reports, extras, {})
+    run.lap("setup")
+
+    def report(d: Design) -> dict:
+        if cfg.q_types >= 2 and cfg.region == "theta0":  # R_g as in `compare --rg`
+            return _score(cfg, d, grid, rg=True)[1]
+        return {"min_phi_a": min_result_dict(min_phi_a(d, grid, cfg.tr, cfg.noise(), cfg.drift()))}
+
+    return _search_command(cfg, run, objective, "min_phi_a", report, {})
 
 
 def cmd_search_mme(args) -> int:
@@ -462,9 +470,12 @@ def cmd_search_mme(args) -> int:
     table = _load_table(cfg.table, cfg)
     grid = cfg.make_grid("search", include_zero=True)
     objective = mme_objective(cfg.evaluator(), grid, table)
-    results, reports = _search_and_report(cfg, objective, run.threads, grid, table)
-    return _finish_search(cfg, run, results, "min_re", reports, [{} for _ in results],
-                          {"table": cfg.table, "table_entries": len(table)})
+    run.lap("setup")
+    return _search_command(
+        cfg, run, objective, "min_re",
+        lambda d: {"min_re": min_result_dict(min_re(d, grid, table, cfg.tr, cfg.noise(),
+                                                    cfg.drift()))},
+        {"table": cfg.table, "table_entries": len(table)})
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +494,7 @@ def cmd_build_table(args) -> int:
         print(f"merging into existing table with {len(existing)} entries")
     ev = cfg.evaluator()
     ga = cfg.ga_config(cfg.seeds[0])
+    run.lap("setup")
 
     def progress(i, total):
         if i % 25 == 0 or i == total:
@@ -491,6 +503,7 @@ def cmd_build_table(args) -> int:
     # points run in order whatever --threads says: each is warm-started from
     # the previous point's winner
     table = build_local_opt_table(grid, ev, ga, existing=existing, progress=progress)
+    run.lap("search")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -509,30 +522,26 @@ def cmd_compare(args) -> int:
     run = _RunClock(args)
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
-    noise, drift = cfg.noise(), cfg.drift()
     denom = table.denominators(grid) if table is not None else None
     blocks = []
     per_design = []
     for path in args.designs:
         d = _load_design_checked(path, cfg)
         name = os.path.splitext(os.path.basename(path))[0]
-        values = cfg.evaluator(len(d)).phi_a_grid(d, grid.thetas, grid.ps)
-        re_values = values / denom if denom is not None else None
-        blocks.append((name, [c for c in (values, re_values) if c is not None]))
-        entry = {"design": name, "file": path,
-                 "min_phi_a": min_result_dict(worst_case(values, grid)),
-                 "mean_phi_a": float(values.mean()), "max_phi_a": float(values.max())}
-        if re_values is not None:
-            entry["min_re"] = min_result_dict(worst_case(re_values, grid))
-        if args.rg and d.q_types >= 2:
-            entry["min_rg"] = min_rg(d, grid.ps, cfg.tr, noise, drift,
-                                     phi_step=cfg.grid_phi_step("comparison"))
-        per_design.append(entry)
+        run.lap("setup")
+        columns, worst = _score(cfg, d, grid, denom, rg=args.rg and cfg.q_types >= 2)
+        run.lap("scoring")
+        blocks.append((name, columns))
+        per_design.append({"design": name, "file": path, "min_phi_a": worst.pop("min_phi_a"),
+                           "mean_phi_a": float(columns[0].mean()),
+                           "max_phi_a": float(columns[0].max()), **worst})
+        run.lap("report")
     key = "min_re" if denom is not None else "min_phi_a"
     ranking = sorted(range(len(per_design)),
                      key=lambda i: -per_design[i][key]["value"])
     summary = {"criterion": key, "designs": per_design,
                "ranking": [per_design[i]["design"] for i in ranking]}
+    run.lap("report")
     outdir = _ensure_out(cfg)
     write_csv(os.path.join(outdir, "comparison.csv"),
               ["design"] + grid_header(cfg.q_types, with_re=denom is not None), grid,
@@ -545,7 +554,7 @@ def cmd_compare(args) -> int:
         if "min_re" in e:
             line += f", min re {fmt_float(e['min_re']['value'])}"
         if "min_rg" in e:
-            line += f", min rg {fmt_float(e['min_rg'])}"
+            line += ", min rg " + ("n/a" if e["min_rg"] is None else fmt_float(e["min_rg"]))
         print(line)
     return 0
 
@@ -563,49 +572,43 @@ def cmd_example_miezin(args) -> int:
     run = _RunClock(args)
     search_grid = cfg.make_grid("search")
     report_grid = cfg.make_grid()
+    run.lap("setup")
 
-    ev = cfg.evaluator()
+    def scored(d: Design, c: ExperimentConfig = cfg) -> tuple:
+        """`d`, its values on the report grid under `c`, and their worst case."""
+        columns, worst = _score(c, d, report_grid)
+        return d, columns, worst["min_phi_a"]
 
-    def report_values(d: Design) -> np.ndarray:
-        return ev.phi_a_grid(d, report_grid.thetas, report_grid.ps)
-
-    results, reports = _search_and_report(cfg, maximin_objective(ev, search_grid),
-                                          run.threads, report_grid)
-    best_idx = _best_index([mr.value for mr in reports])
-    d_star = results[best_idx].best_design
+    results, reports = _search_and_report(
+        cfg, run, maximin_objective(cfg.evaluator(), search_grid), scored)
+    best_idx = _best_index([worst["value"] for _, _, worst in reports])
+    d_star = reports[best_idx][0]
 
     # competing designs, each with its values on the report grid: alternating
     # six-rest/six-stimulus blocks, an m-sequence wrapped to length, and the
     # best of 100 spacing-constrained random sequences (about half rest, mean
     # onset gap near 5 s)
-    block = block_design(1, 6, cfg.length, cfg.isi)
-    mseq = m_sequence_design(1, cfg.length, cfg.isi)
-    competitors = {"maximin": (d_star, report_values(d_star)),
-                   "block": (block, report_values(block)),
-                   "mseq": (mseq, report_values(mseq))}
-    rand_seeds = np.random.SeedSequence(cfg.seeds[0]).spawn(args.n_random)
-    best_rand, best_rand_min = None, -1.0
-    for child in rand_seeds:
+    competitors = {"maximin": reports[best_idx],
+                   "block": scored(block_design(1, 6, cfg.length, cfg.isi)),
+                   "mseq": scored(m_sequence_design(1, cfg.length, cfg.isi))}
+    for child in np.random.SeedSequence(cfg.seeds[0]).spawn(args.n_random):
         seed = int(child.generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
-        dr = constrained_random(cfg.length, 0.5, (None, None), cfg.isi, seed)
-        values = report_values(dr)
-        v = float(values.min())
-        if v > best_rand_min:
-            best_rand, best_rand_min = (dr, values), v
-    competitors["random_best"] = best_rand
-
-    per_design = {name: min_result_dict(worst_case(values, report_grid))
-                  for name, (_, values) in competitors.items()}
+        rand = scored(constrained_random(cfg.length, 0.5, (None, None), cfg.isi, seed))
+        if rand[2]["value"] > competitors.setdefault("random_best", rand)[2]["value"]:
+            competitors["random_best"] = rand
+    per_design = {name: worst for name, (_, _, worst) in competitors.items()}
+    run.lap("report")
 
     # robustness: how much of the rho-matched optimum the rho=0.3 design keeps
     robustness = {}
     for rho_alt in (0.0, 0.5):
         cfg_alt = replace(cfg, rho=rho_alt)
         _, reports_alt = _search_and_report(
-            cfg_alt, maximin_objective(cfg_alt.evaluator(), search_grid), run.threads,
-            report_grid)
-        matched = reports_alt[_best_index([mr.value for mr in reports_alt])].value
-        own = min_phi_a(d_star, report_grid, cfg.tr, cfg_alt.noise(), cfg.drift()).value
+            cfg_alt, run, maximin_objective(cfg_alt.evaluator(), search_grid),
+            lambda d: scored(d, cfg_alt))
+        matched = max(worst["value"] for _, _, worst in reports_alt)
+        own = scored(d_star, cfg_alt)[2]["value"]
+        run.lap("report")
         robustness[f"rho_{fmt_float(rho_alt)}"] = {
             "matched_min_phi_a": matched,
             "design_min_phi_a": own,
@@ -621,11 +624,11 @@ def cmd_example_miezin(args) -> int:
     outdir = _ensure_out(cfg)
     ddir = os.path.join(outdir, "designs")
     os.makedirs(ddir, exist_ok=True)
-    for name, (d, _) in competitors.items():
+    for name, (d, _, _) in competitors.items():
         save_design(d, os.path.join(ddir, f"{name}.txt"))
     write_csv(os.path.join(outdir, "distributions.csv"),
               ["design"] + grid_header(1, with_re=False), report_grid,
-              [(name, [values]) for name, (_, values) in competitors.items()])
+              [(name, columns) for name, (_, columns, _) in competitors.items()])
     write_json(os.path.join(outdir, "summary.json"), summary)
     run.finish(outdir)
     for name in competitors:
@@ -668,37 +671,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Find and evaluate worst-case efficient fMRI stimulus sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evaluate", help="evaluate a design file over a grid")
+    def command(name: str, func, help_text: str, budget: str | None = None,
+                model: bool = True) -> argparse.ArgumentParser:
+        """A subcommand running `func`, with the common flags, the model overrides
+        when `model` is set, and --budget when `budget` names what it covers."""
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        if model:
+            _add_model_overrides(p)
+        if budget:
+            p.add_argument("--budget", type=int, help=f"fitness evaluations per {budget}")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("evaluate", cmd_evaluate, "evaluate a design file over a grid")
     p.add_argument("design", help="design file (text or JSON)")
-    _add_common(p)
-    _add_model_overrides(p)
-    p.set_defaults(func=cmd_evaluate)
+    command("search-maximin", cmd_search_maximin, "search for a worst-case optimal design",
+            budget="search")
+    command("search-mme", cmd_search_mme,
+            "search for a worst-case efficient design (needs a table)", budget="search")
+    command("build-table", cmd_build_table, "build or extend a locally optimal design table",
+            budget="grid point")
 
-    p = sub.add_parser("search-maximin", help="search for a worst-case optimal design")
-    _add_common(p)
-    _add_model_overrides(p)
-    p.add_argument("--budget", type=int, help="fitness evaluations per search")
-    p.set_defaults(func=cmd_search_maximin)
-
-    p = sub.add_parser("search-mme",
-                       help="search for a worst-case efficient design (needs a table)")
-    _add_common(p)
-    _add_model_overrides(p)
-    p.add_argument("--budget", type=int, help="fitness evaluations per search")
-    p.set_defaults(func=cmd_search_mme)
-
-    p = sub.add_parser("build-table",
-                       help="build or extend a locally optimal design table")
-    _add_common(p)
-    _add_model_overrides(p)
-    p.add_argument("--budget", type=int, help="fitness evaluations per grid point")
-    p.set_defaults(func=cmd_build_table)
-
-    p = sub.add_parser("generate", help="write a baseline design file")
+    p = command("generate", cmd_generate, "write a baseline design file")
     p.add_argument("kind", choices=["block", "mseq", "random",
                                     "constrained-random", "cyclic"])
-    _add_common(p)
-    _add_model_overrides(p)
     p.add_argument("--block-size", type=int, default=4,
                    help="stimuli per block (block kind)")
     p.add_argument("--degree", type=int, help="LFSR degree (mseq kind)")
@@ -710,24 +707,17 @@ def build_parser() -> argparse.ArgumentParser:
                    "(constrained-random; default that mean gap plus 2%%)")
     p.add_argument("--short", help="short design file (cyclic kind)")
     p.add_argument("-o", "--output", help="output design file path")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("example-miezin",
-                       help="two-run worked example with baselines and robustness")
-    _add_common(p)
-    p.add_argument("--budget", type=int, help="fitness evaluations per search")
+    p = command("example-miezin", cmd_example_miezin,
+                "two-run worked example with baselines and robustness", budget="search",
+                model=False)
     p.add_argument("--n-random", type=int, default=100,
                    help="number of constrained random competitors")
-    p.set_defaults(func=cmd_example_miezin)
 
-    p = sub.add_parser("compare", help="evaluate several design files side by side")
+    p = command("compare", cmd_compare, "evaluate several design files side by side")
     p.add_argument("designs", nargs="+", help="design files")
-    _add_common(p)
-    _add_model_overrides(p)
     p.add_argument("--rg", action="store_true",
                    help="also report the permutation-image efficiency bound")
-    p.set_defaults(func=cmd_compare)
-
     return parser
 
 

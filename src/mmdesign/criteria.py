@@ -7,7 +7,8 @@ directions (plus the zero vector where the worst case includes it).
 
 The reduced region theta0 exploits label-permutation symmetry: evaluating a
 design over theta0 and bounding the loss over each permutation image (the
-R_g ratios) brackets the full-hemisphere worst case at a fraction of the cost.
+R_g ratios, from rows picked by direction, so that a report grid's pass can
+hold them) brackets the full-hemisphere worst case at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .designs import Design, design_from_text
 from .errors import ConfigurationError, MmdesignError, TableFormatError, TableLookupError
-from .glsmodel import DriftSpec, NoiseSpec, evaluator_for
+from .glsmodel import DirectionBlocks, DriftSpec, NoiseSpec, evaluator_for
 from .hrf import HrfParams
 from .util import is_finite_number
 
@@ -222,10 +223,11 @@ def theta0_grid(q: int, phi_step: float) -> tuple[tuple[float, ...], ...]:
 @dataclass(frozen=True)
 class ParamGrid:
     """Product grid of amplitude directions (plus optionally the zero vector)
-    and HRF parameter points."""
+    and HRF parameter points; `make_grid` records its amplitude step."""
 
     thetas: tuple[tuple[float, ...], ...]
     ps: tuple[HrfParams, ...]
+    phi_step: float | None = None
 
     @property
     def q_types(self) -> int:
@@ -245,7 +247,7 @@ class ParamGrid:
         z = zero_theta(self.q_types)
         if z in self.thetas:
             return self
-        return ParamGrid(thetas=(z,) + self.thetas, ps=self.ps)
+        return replace(self, thetas=(z,) + self.thetas)
 
 
 def make_grid(q: int, preset: str = "search", region: str = "theta0",
@@ -261,7 +263,7 @@ def make_grid(q: int, preset: str = "search", region: str = "theta0",
         thetas = full_theta_grid(q, phi_step)
     else:
         raise ConfigurationError(f"unknown amplitude region {region!r}")
-    grid = ParamGrid(thetas=thetas, ps=p_grid(p_step))
+    grid = ParamGrid(thetas=thetas, ps=p_grid(p_step), phi_step=phi_step)
     return grid.with_zero() if include_zero else grid
 
 
@@ -487,33 +489,56 @@ def min_re(d: Design, grid: ParamGrid, table: LocalOptTable, tr: float,
 # permutation-image ratios (efficiency lower bound for the reduced region)
 # ---------------------------------------------------------------------------
 
+def _rg_directions(q: int, phi_step: float):
+    """The reduced region and its signed images under each other labeling."""
+    base = theta0_grid(q, phi_step)
+    return base, {sg: tuple(signed_image(th, sg) for th in base) for sg in label_permutations(q)}
+
+
+def with_rg_directions(thetas, q: int, phi_step: float) -> DirectionBlocks:
+    """`thetas`, then in a block of their own the directions R_g scores (the
+    reduced region at `phi_step` and its images) not among them, each once."""
+    base, images = _rg_directions(q, phi_step)
+    known = set(thetas)
+    return DirectionBlocks(thetas, dict.fromkeys(
+        th for th in itertools.chain(base, *images.values()) if th not in known))
+
+
+def _rg_ratios(d: Design, ps, tr: float, noise: NoiseSpec, drift: DriftSpec,
+               phi_step: float, scored=None) -> dict[tuple[int, ...], float] | None:
+    """R_g ratios of `d`, None where the reduced region's worst case is 0,
+    from the rows of `scored` = (thetas, `Evaluator.phi_a_grid(d, thetas,
+    ps)`) picked by direction; by default thetas = `with_rg_directions((), ...)`."""
+    q = d.q_types
+    if scored is None:
+        thetas = with_rg_directions((), q, phi_step)
+        scored = thetas, evaluator_for(d, tr, noise, drift).phi_a_grid(d, thetas, ps)
+    thetas, values = scored
+    row = {th: i for i, th in enumerate(thetas)}
+    base, images = _rg_directions(q, phi_step)
+    base_min, *image_mins = (float(values[[row[th] for th in directions]].min())
+                             for directions in (base, *images.values()))
+    return dict(zip(images, (m / base_min for m in image_mins))) if base_min > 0 else None
+
+
 def rg_ratios(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
               drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP
               ) -> dict[tuple[int, ...], float]:
     """Per-permutation ratio of the worst case over the image of the reduced
-    region to the worst case over the reduced region itself."""
-    q = d.q_types
-    if q < 2:
-        return {}
-    base = theta0_grid(q, phi_step)
-    perms = label_permutations(q)
-    all_thetas = list(base)
-    spans = {}
-    for sg in perms:
-        start = len(all_thetas)
-        all_thetas.extend(signed_image(th, sg) for th in base)
-        spans[sg] = (start, len(all_thetas))
-    values = evaluator_for(d, tr, noise, drift).phi_a_grid(d, tuple(all_thetas), ps)
-    base_min = float(values[:len(base)].min())
-    if base_min <= 0.0:
+    region to the worst case over the reduced region itself; raises
+    ConfigurationError when the design is singular somewhere on the region."""
+    ratios = _rg_ratios(d, ps, tr, noise, drift, phi_step) if d.q_types >= 2 else {}
+    if ratios is None:
         raise ConfigurationError("design is singular somewhere on the reduced region")
-    return {sg: float(values[a:b].min()) / base_min for sg, (a, b) in spans.items()}
+    return ratios
 
 
 def min_rg(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
-           drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP) -> float:
-    """Efficiency lower bound: smallest permutation-image ratio, floored at 1."""
-    ratios = rg_ratios(d, ps, tr, noise, drift, phi_step=phi_step)
-    if not ratios:
+           drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP,
+           scored: tuple | None = None) -> float | None:
+    """Efficiency lower bound: smallest permutation-image ratio, floored at 1;
+    None where the ratios are undefined.  `scored` is as for `_rg_ratios`."""
+    if d.q_types < 2:
         return 1.0
-    return min(1.0, min(ratios.values()))
+    ratios = _rg_ratios(d, ps, tr, noise, drift, phi_step, scored)
+    return None if ratios is None else min(1.0, min(ratios.values()))

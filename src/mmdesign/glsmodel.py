@@ -23,7 +23,7 @@ Grid (`phi_a_grid`): the Gram matrix Y of a design's Q*K residualized
 columns, then the grid stage on flat per-entry arrays: one matrix product of
 all p points' transposed HRF bundles with Y, one batched product over p with
 the bundles, then, with p the last axis, one product each for E'L and L'L
-over all directions theta.  A closed-form 2 x 2 pseudo-inverse
+over each block of directions theta.  A closed-form 2 x 2 pseudo-inverse
 F = (L'L)^- L'E gives the Schur complement M_ab = (E'E)_ab - (E'L)_a F_b one
 entry at a time, each an (n_theta, n_p) array; Q <= 2 takes 1/trace(M^{-1})
 in closed form from the entries, Q >= 3 stacks them for an eigenvalue solve.
@@ -46,6 +46,7 @@ pseudo-inverse.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -297,7 +298,7 @@ class Evaluator:
         q, w = self.q_types, self.hrf_length
         ps = ps if isinstance(ps, tuple) else tuple(ps)
         th = self._thetas(thetas)
-        n_t, n_p = th.shape[0], len(ps)
+        n_p = len(ps)
         w_t, w_all = self._stacked_bundles(ps)
         # h[s, i, a, b, v] = sum_u W_s[u, i] Y[a, u, b, v]: one GEMM for all s
         y_t = y.reshape(q, w, q * w).transpose(1, 0, 2).reshape(w, q * q * w)
@@ -306,21 +307,43 @@ class Evaluator:
         # gp[i, j, b, a, p]: p's W_s[:, i]' Y[a, b] W_s[:, j] summed over its runs
         gp = np.empty((3, 3, q, q, n_p))
         np.sum(g.transpose(2, 5, 4, 3, 0, 1), axis=-1, out=gp)
-        # E'L columns el[j - 1, t, a, p] and L'L entries ll[i - 1, j - 1, t, p]
-        el = np.matmul(th, gp[0, 1:].reshape(2, q, q * n_p)).reshape(2, n_t, q, n_p)
-        tt = (th[:, :, None] * th[:, None, :]).reshape(n_t, q * q)
-        ll = np.matmul(tt, gp[1:, 1:].reshape(2, 2, q * q, n_p))
-        i00, i01, i11 = _pinv_sym2_batch(ll[0, 0], ll[0, 1], ll[1, 1])
-        # M = E'E - E'L pinv(L'L) L'E entry by entry, with F = pinv(L'L) L'E
-        e1, e2 = el
-        f1 = i00[:, None] * e1 + i01[:, None] * e2
-        f2 = i01[:, None] * e1 + i11[:, None] * e2
-        a00 = 0.5 * (gp[0, 0] + gp[0, 0].transpose(1, 0, 2))
-        m = [[None] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                m[a][b] = m[b][a] = a00[a, b] - (e1[:, a] * f1[:, b] + e2[:, a] * f2[:, b])
-        return _phi_batch(m), m
+        if not isinstance(thetas, DirectionBlocks):
+            return _theta_stage(gp, th)
+        parts = [_theta_stage(gp, b) for b in np.split(th, np.cumsum(thetas.sizes[:-1]))]
+        values, ms = zip(*parts)
+        return np.concatenate(values), [[np.concatenate([m[a][b] for m in ms]) for b in range(q)]
+                                        for a in range(q)]
+
+
+def _theta_stage(gp: np.ndarray, th: np.ndarray):
+    """(values, M) of `Evaluator._phi_from_gram` for the (n_t, Q) directions
+    `th` alone, from the p points' summed quadratic forms gp[i, j, b, a, p]."""
+    q, n_p, n_t = gp.shape[2], gp.shape[-1], th.shape[0]
+    # E'L columns el[j - 1, t, a, p] and L'L entries ll[i - 1, j - 1, t, p]
+    el = np.matmul(th, gp[0, 1:].reshape(2, q, q * n_p)).reshape(2, n_t, q, n_p)
+    tt = (th[:, :, None] * th[:, None, :]).reshape(n_t, q * q)
+    ll = np.matmul(tt, gp[1:, 1:].reshape(2, 2, q * q, n_p))
+    i00, i01, i11 = _pinv_sym2_batch(ll[0, 0], ll[0, 1], ll[1, 1])
+    # M = E'E - E'L pinv(L'L) L'E entry by entry, with F = pinv(L'L) L'E
+    e1, e2 = el
+    f1 = i00[:, None] * e1 + i01[:, None] * e2
+    f2 = i01[:, None] * e1 + i11[:, None] * e2
+    a00 = 0.5 * (gp[0, 0] + gp[0, 0].transpose(1, 0, 2))
+    m = [[None] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a, q):
+            m[a][b] = m[b][a] = a00[a, b] - (e1[:, a] * f1[:, b] + e2[:, a] * f2[:, b])
+    return _phi_batch(m), m
+
+
+class DirectionBlocks(tuple):
+    """Directions in blocks that `Evaluator.phi_a_grid` scores each as if alone:
+    BLAS may round a row of a matrix product differently among more rows."""
+
+    def __new__(cls, *blocks):
+        self = super().__new__(cls, itertools.chain(*blocks))
+        self.sizes = tuple(map(len, blocks))
+        return self
 
 
 def _eig_sym2(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -666,6 +666,110 @@ def test_compare_with_rg_flag(tmp_path):
     assert got != min_rg(d, ps, 2.0, NoiseSpec(rho=0.3), DriftSpec(order=2))
 
 
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Every `Evaluator.phi_a_grid` call's direction count, in order."""
+    calls = []
+    original = Evaluator.phi_a_grid
+
+    def spy(self, d, thetas, ps):
+        calls.append(len(thetas))
+        return original(self, d, thetas, ps)
+
+    monkeypatch.setattr(Evaluator, "phi_a_grid", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["theta0", "table", "full"])
+def test_compare_rg_scores_each_design_once(tmp_path, grid_calls, case):
+    # one grid pass per design covers the report grid (with the zero
+    # direction first when a table is given) and the R_g directions; the
+    # reported values are the library's, bit for bit
+    cfg_path = write_config(tmp_path, q_types=2, length=12,
+                            **({"region": "full"} if case == "full" else {}))
+    cfg = ExperimentConfig.load(cfg_path)
+    table_path = make_tiny_table(tmp_path, cfg_path) if case == "table" else None
+    paths = [write_design(tmp_path, random_design(2, 12, 4.0, seed=s).labels, f"d{s}.txt")
+             for s in (21, 22)]
+    grid_calls.clear()
+    assert main(["compare", *paths, "--config", cfg_path, "--rg",
+                 *(["--table", table_path] if table_path else [])]) == 0
+    assert len(grid_calls) == len(paths)
+    grid = cfg.make_grid("comparison", include_zero=table_path is not None)
+    assert all(n > len(grid.thetas) for n in grid_calls)
+    out = tmp_path / "out"
+    entries = json.loads((out / "comparison.json").read_text())["designs"]
+    with open(out / "comparison.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    args = (cfg.tr, cfg.noise(), cfg.drift())
+    for path, entry in zip(paths, entries):
+        d = load_design(path, q_types=2, isi=cfg.isi)
+        values = cfg.evaluator().phi_a_grid(d, grid.thetas, grid.ps)
+        assert ([r["phi_a"] for r in rows if r["design"] == entry["design"]]
+                == [fmt_float(v) for v in values.ravel()])
+        assert entry["min_phi_a"]["value"] == min_phi_a(d, grid, *args).value
+        assert entry["mean_phi_a"] == float(values.mean())
+        if table_path:
+            table = LocalOptTable.load(table_path, q_types=2, isi=cfg.isi)
+            assert entry["min_re"]["value"] == min_re(d, grid, table, *args).value
+        assert entry["min_rg"] == min_rg(d, grid.ps, *args, phi_step=cfg.phi_step)
+
+
+def test_search_maximin_scores_each_reported_design_once(tmp_path, grid_calls):
+    # beside one call per fitness evaluation, one grid pass per seed gives
+    # the report's min_phi_a and min_rg
+    cfg_path = write_config(tmp_path, q_types=2, length=12, seeds=[0, 1])
+    assert main(["search-maximin", "--config", cfg_path]) == 0
+    cfg = ExperimentConfig.load(cfg_path)
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())["per_seed"]
+    assert len(grid_calls) == sum(row["evaluations"] for row in rows) + len(rows)
+    grid, args = cfg.make_grid(), (cfg.tr, cfg.noise(), cfg.drift())
+    for row in rows:
+        d = load_design(str(tmp_path / "out" / "designs" / f"seed_{row['seed']}.txt"),
+                        q_types=2, isi=cfg.isi)
+        assert row["min_phi_a"]["value"] == min_phi_a(d, grid, *args).value
+        assert row["min_rg"] == min_rg(d, grid.ps, *args, phi_step=cfg.phi_step)
+
+
+@pytest.mark.parametrize("labels", [[0] * 40, [1, 0] * 20])
+def test_compare_rg_reports_singular_design_as_na(tmp_path, labels):
+    # a design singular somewhere on the reduced region (all rest, or type 1
+    # only) has no R_g bound; the other designs keep theirs
+    odd = write_design(tmp_path, labels, "odd.txt")
+    good = write_design(tmp_path, random_design(2, 40, 4.0, seed=3).labels, "good.txt")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (os.path.dirname(os.path.dirname(mmdesign.__file__)) + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "mmdesign.cli", "compare", odd, good,
+                           "--q", "2", "--length", "40", "--rg", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "odd: min phi_a 0, min rg n/a" in proc.stdout.splitlines()
+    entries = json.loads((tmp_path / "out" / "comparison.json").read_text())["designs"]
+    assert entries[0]["min_rg"] is None
+    assert 0 < entries[1]["min_rg"] <= 1.0
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("evaluate", {"setup", "scoring", "report", "write"}),
+    ("compare", {"setup", "scoring", "report", "write"}),
+    ("search-maximin", {"setup", "search", "report", "write"}),
+    ("search-mme", {"setup", "search", "report", "write"}),
+    ("build-table", {"setup", "search", "write"}),
+])
+def test_run_meta_stage_seconds(tmp_path, command, stages):
+    cfg = write_config(tmp_path)
+    design = write_design(tmp_path, random_design(1, 12, 4.0, seed=4).labels)
+    extra = {"evaluate": [design], "compare": [design],
+             "search-mme": ["--table", make_tiny_table(tmp_path, cfg)]}.get(command, [])
+    assert main([command, *extra, "--config", cfg]) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert set(meta["stage_s"]) == stages
+    assert min(meta["stage_s"].values()) >= 0
+    assert sum(meta["stage_s"].values()) <= meta["wall_time_s"]
+
+
 def test_compare_quotes_odd_design_name(tmp_path):
     cfg = write_config(tmp_path, q_types=2, length=12)
     odd = write_design(tmp_path, random_design(2, 12, 4.0, seed=11).labels, 'a,b"c.txt')

@@ -467,3 +467,4 @@ def test_rg_rejects_singular_design():
     d = Design(labels=(0,) * 24, q_types=2, isi=4.0)
     with pytest.raises(ConfigurationError):
         rg_ratios(d, PS_COARSE, 2.0, NOISE, DRIFT)
+    assert min_rg(d, PS_COARSE, 2.0, NOISE, DRIFT) is None  # the bound is undefined

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmdesign.criteria import (LocalOptTable, apply_perm, label_permutations, perm_matrix,
-                               relative_efficiency)
+from mmdesign.criteria import (LocalOptTable, apply_perm, label_permutations, make_grid,
+                               perm_matrix, relative_efficiency, with_rg_directions)
 from mmdesign.designs import Design, random_design, relabel
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import (
     LL_RANK_ONE_RATIO,
     RCOND_SINGULAR,
+    DirectionBlocks,
     DriftSpec,
     Evaluator,
     NoiseSpec,
@@ -610,3 +611,17 @@ def test_evaluator_rejects_non_finite_run_shift(shift):
     # noise spec carries the shift, so no evaluator can be built with one
     with pytest.raises(ConfigurationError, match="run_shift"):
         NoiseSpec(runs=2, run_shift=shift)
+
+
+def test_direction_blocks_score_each_block_as_alone():
+    # the Q=3 comparison grid and its R_g directions in one pass: each block's
+    # rows equal a pass over that block alone, although one matrix product
+    # over all 855 directions rounds some of the first block's rows otherwise
+    # under OpenBLAS
+    grid = make_grid(3, "comparison")
+    extra = with_rg_directions(grid.thetas, 3, grid.phi_step)[len(grid.thetas):]
+    ev = Evaluator(3, 40, 4.0, 2.0, NoiseSpec(rho=0.3), DriftSpec(order=2))
+    d = random_design(3, 40, 4.0, seed=5)
+    both = ev.phi_a_grid(d, DirectionBlocks(grid.thetas, extra), grid.ps)
+    assert np.array_equal(both[:len(grid.thetas)], ev.phi_a_grid(d, grid.thetas, grid.ps))
+    assert np.array_equal(both[len(grid.thetas):], ev.phi_a_grid(d, extra, grid.ps))
