@@ -518,6 +518,11 @@ def cmd_build_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
+    names = [os.path.splitext(os.path.basename(path))[0] for path in args.designs]
+    for i, name in enumerate(names):  # the CSV and the ranking tell designs apart by name
+        if name in names[:i]:
+            raise ConfigurationError(f"designs {args.designs[names.index(name)]} and "
+                                     f"{args.designs[i]} share the name {name!r}")
     cfg = config_from_args(args)
     run = _RunClock(args)
     table = _load_table(cfg.table, cfg) if cfg.table else None
@@ -525,9 +530,8 @@ def cmd_compare(args) -> int:
     denom = table.denominators(grid) if table is not None else None
     blocks = []
     per_design = []
-    for path in args.designs:
+    for path, name in zip(args.designs, names):
         d = _load_design_checked(path, cfg)
-        name = os.path.splitext(os.path.basename(path))[0]
         run.lap("setup")
         columns, worst = _score(cfg, d, grid, denom, rg=args.rg and cfg.q_types >= 2)
         run.lap("scoring")

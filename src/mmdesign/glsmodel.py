@@ -20,7 +20,11 @@ is one shifted subtraction, and the drift projector is the identity minus
 Qs Qs' for a thin orthonormal basis Qs of V S.  The evaluator has two routes.
 
 Grid (`phi_a_grid`): the Gram matrix Y of a design's Q*K residualized
-columns, then the grid stage on flat per-entry arrays: one matrix product of
+columns (`gram`; `residualized` is its dense definition).  X sums shifted
+copies of the onsets and V'V is tridiagonal, so X'V'VX weights lagged counts
+of label pairs, split by onset index mod rtr, with entries of V'V; the end
+scans' AR(1) terms and the drift term Z'Z, Z = (V'D)'X, come from per-onset
+tables.  Then the grid stage on flat per-entry arrays: one matrix product of
 all p points' transposed HRF bundles with Y, one batched product over p with
 the bundles, then, with p the last axis, one product each for E'L and L'L
 over each block of directions theta.  A closed-form 2 x 2 pseudo-inverse
@@ -49,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -162,8 +166,8 @@ class Evaluator:
     of one run's whitened drift columns.  On a grid, each design yields one
     run's Gram matrix, from which information matrices at every (theta, p)
     follow by small quadratic forms summed over the runs; at one point, only
-    the point's Q+2 columns are residualized.  The stacked HRF bundles of the
-    last grid and the weights of the last point are kept, and `hrf_bundle`
+    the point's Q+2 columns are residualized.  The last grid's HRF bundles
+    and directions and the last point's weights are kept, and `hrf_bundle`
     caches grids by value.
     """
 
@@ -182,6 +186,7 @@ class Evaluator:
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
         self._recent_stack: tuple = (None, None)
+        self._recent_thetas: tuple = (None, None)
         self._recent_point: tuple = (None, None, None)
 
     # -- drift removal -----------------------------------------------------
@@ -215,9 +220,56 @@ class Evaluator:
         return self._residualize(np.hstack(design_matrix(d, self.tr)))
 
     def gram(self, d: Design) -> np.ndarray:
-        u = self.residualized(d)
-        y = u.T @ u
+        """The Gram matrix of `residualized(d)`, from the labels alone."""
+        self._check(d)
+        q, w, n = self.q_types, self.hrf_length, self.n_slots
+        rtr, lags, index, omega, onset_rows, end_rows = self._gram_tables
+        # one-hot onsets between `lags` zero rows (labels fit in a byte)
+        o = np.eye(q + 1)[:, 1:].take(
+            np.frombuffer(bytes(lags) + bytes(d.labels) + bytes(lags), np.uint8), axis=0)
+        # counts[c, v, b, a]: onsets j = c mod rtr labelled a whose onset
+        # j + v - lags is labelled b, from a window over o; then a zero row
+        counts = np.zeros(((2 * lags + 1) * rtr + 1) * q * q)
+        window = np.ndarray((n // rtr, rtr, (2 * lags + 1) * q), buffer=o,
+                            strides=(rtr * o.strides[0], *o.strides)).transpose(1, 2, 0)
+        np.matmul(window, o[lags:lags + n].reshape(-1, rtr, q).transpose(1, 0, 2),
+                  out=counts[:-q * q].reshape(rtr, -1, q))
+        y = np.dot(omega, counts.reshape(-1, q * q).take(index, axis=0).reshape(3, -1))
+        y = y.reshape(w, w, q, q).transpose(3, 0, 2, 1).reshape(q * w, q * w)
+        onsets = o[lags:lags + n].T
+        z = np.concatenate((np.dot(onsets, onset_rows).reshape(q * w, -1),
+                            np.dot(onsets[:, n - len(end_rows):], end_rows).reshape(q * w, -1)), 1)
+        y -= np.dot(z, z.T)
         return 0.5 * (y + y.T)
+
+    @cached_property
+    def _gram_tables(self) -> tuple:
+        """(rtr, lags, index, omega, onset_rows, end_rows): the label-free
+        tables of `gram`, built on its first call and stored as one tuple."""
+        risi, rtr, n_scans, w = _scan_index(self.n_slots, self.isi, self.tr)
+        rho, n, k, nd = self.noise.rho, self.n_slots, np.arange(w), self.drift_basis.shape[1]
+        # onset j's height k is on a scan iff j = c(k) mod rtr (risi and rtr
+        # are coprime, and rtr divides n); onset j + m's height k' is then
+        # delta scans later iff m risi = delta rtr + k - k', for |m| <= lags
+        lags = (w - 1 + rtr) // risi
+        c = (-k * pow(risi, -1, rtr)) % rtr
+        m, r = np.divmod(np.array([-rtr, 0, rtr])[:, None, None] + k[:, None] - k, risi)
+        index = np.where(r == 0, c[:, None] * (2 * lags + 1) + m + lags, rtr * (2 * lags + 1))
+        # what a height at each slot adds to Z = (V'D)'X, to rho x_0 (the first
+        # scan has no AR(1) predecessor) and to the uncut run's whitened rows
+        # from scan T on (in the counts, and reached by the last `lags` onsets)
+        t = np.arange((w - 1) // rtr + 2)
+        slots = np.zeros((n * risi + w + rtr, nd + 1 + len(t)))
+        slots[:n * risi:rtr, :nd] = self.drift_basis
+        slots[0] *= math.sqrt(1.0 - rho * rho)
+        slots[:(n_scans - 1) * rtr:rtr, :nd] -= rho * self.drift_basis[1:]
+        slots[0, nd] = rho
+        slots[(n_scans + t) * rtr, nd + 1 + t] = 1.0
+        slots[(n_scans - 1 + t) * rtr, nd + 1 + t] = -rho
+        at = np.arange(n)[:, None] * risi + k  # the slots of each onset's heights
+        return (rtr, lags, index, np.array([-rho, 1.0 + rho * rho, -rho]),
+                slots[:, :nd + 1][at].reshape(n, -1),
+                slots[:, nd + 1:][at[max(n - lags, 0):]].reshape(-1, w * len(t)))
 
     def bundle(self, p: HrfParams) -> np.ndarray:
         """(runs*hrf_length, 3) columns: heights, d/dp1, d/dp6, one
@@ -225,13 +277,19 @@ class Evaluator:
         return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
     def _thetas(self, thetas) -> np.ndarray:
-        """The directions as a finite (n, Q) array."""
+        """The directions as a finite (n, Q) array; the last tuple's is kept,
+        found by identity, as one (thetas, array) pair that threads replace whole."""
+        recent_thetas, recent = self._recent_thetas
+        if recent_thetas is thetas:
+            return recent
         th = np.asarray(list(thetas), dtype=float)
         th = th.reshape(0, self.q_types) if th.size == 0 else th
         if th.ndim != 2 or th.shape[1] != self.q_types:
             raise ConfigurationError(f"thetas must be (n, {self.q_types}) (got {th.shape})")
         if not np.isfinite(th).all():
             raise ConfigurationError("thetas must be finite")
+        if isinstance(thetas, tuple):
+            self._recent_thetas = (thetas, th)
         return th
 
     # -- one-point route ----------------------------------------------------
@@ -358,6 +416,9 @@ def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     2x2 [[a, b], [b, c]] batches; a, b, c may have any common shape."""
     _, lmax, lmin = _eig_sym2(a, b, c)
     full = lmin > LL_RANK_ONE_RATIO * lmax
+    if full.all():  # the general form below, without its rank-one branches
+        den = a * c - b * b
+        return c / den, -b / den, a / den
     # rank-one fallback: M/lmax^2 approximates the truncated inverse; an
     # all-zero block divides by infinity and gets a zero inverse
     rank1 = (~full) & (lmax > 0)

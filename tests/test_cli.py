@@ -652,6 +652,21 @@ def test_compare_ranks_designs(tmp_path, capsys):
     assert lines[1].startswith("good,")
 
 
+@pytest.mark.parametrize("same_file", [False, True])
+def test_compare_rejects_two_designs_of_one_name(tmp_path, capsys, same_file):
+    # comparison.csv and the ranking tell designs apart by file name alone
+    cfg = write_config(tmp_path)
+    labels = random_design(1, 12, 4.0, seed=5).labels
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = write_design(tmp_path / "a", labels, "x.txt")
+    second = first if same_file else write_design(tmp_path / "b", labels, "x.txt")
+    assert main(["compare", first, second, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: designs {first} and {second} share the name 'x'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_with_rg_flag(tmp_path):
     # the reduced region of R_g has the configured amplitude step
     cfg = write_config(tmp_path, q_types=2, length=12, phi_step=0.25)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mmdesign.criteria import (LocalOptTable, apply_perm, label_permutations, make_grid,
                                perm_matrix, relative_efficiency, with_rg_directions)
-from mmdesign.designs import Design, random_design, relabel
+from mmdesign.designs import Design, delta_t, random_design, relabel
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import (
     LL_RANK_ONE_RATIO,
@@ -435,6 +435,25 @@ def test_pinv_sym2_is_the_batch_form_on_one_block(kind):
             np.float64(1e300), np.float64(0.0), np.float64(1.0)) == (0.0, 0.0, 0.0)
 
 
+def test_pinv_sym2_batch_is_the_one_block_form_on_whole_batches():
+    # full-rank blocks mixed with rank-one, all-zero and overflowing ones, and
+    # a batch of full-rank blocks only, which skips the rank-one branches
+    rng = np.random.default_rng(9)
+    kinds = ("psd", "rank-one", "near-rank-one", "zero")
+    mixed = [np.append(np.concatenate(x), v) for x, v in
+             zip(zip(*(_sym2_blocks(kind, 50, rng) for kind in kinds)), (1e300, 0.0, 1.0))]
+    full = _sym2_blocks("psd", 200, rng)
+    _, lmax, lmin = _eig_sym2(*full)
+    assert np.all(lmin > LL_RANK_ONE_RATIO * lmax)
+    for blocks in (mixed, full):
+        order = rng.permutation(len(blocks[0]))
+        a, b, c = (x[order] for x in blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = np.array(_pinv_sym2_batch(a, b, c))
+            one = np.array([_pinv_sym2(*map(float, abc)) for abc in zip(a, b, c)]).T
+        assert batch.tobytes() == one.tobytes()
+
+
 @given(q=st.integers(1, 2), seed=st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_phi_continuous_across_rank_one_cutoff(q, seed):
@@ -534,23 +553,23 @@ def test_non_finite_theta_rejected(theta):
 
 
 def test_stacked_bundles_shared_by_threads():
-    # one evaluator scores 12 grids of 1-3 p points, and one point of each,
-    # from 8 threads that switch as often as the interpreter allows: every
-    # result must be its serial value, whichever grid or point the kept
-    # bundles and weights belong to
+    # one evaluator scores 12 grids of 1-3 p points and one or two directions,
+    # and one point of each, from 8 threads that switch as often as the
+    # interpreter allows: every result must be its serial value, whichever
+    # grid or point the kept bundles, directions and weights belong to
     d = random_design(1, 9, 4.0, seed=60)
-    thetas = [(1.0,)]
+    directions = [((1.0,),), ((1.0,), (-0.5,))]
     grids = [tuple(HrfParams(6.0 + 0.25 * k + 0.1 * j, 0.5) for j in range(1 + k % 3))
              for k in range(12)]
-    want = [make_eval().phi_a_grid(d, thetas, ps) for ps in grids]
-    want_point = [make_eval().phi_a(d, thetas[0], ps[0]) for ps in grids]
+    want = [make_eval().phi_a_grid(d, directions[k % 2], ps) for k, ps in enumerate(grids)]
+    want_point = [make_eval().phi_a(d, (1.0,), ps[0]) for ps in grids]
     ev = make_eval()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [(pool.submit(ev.phi_a_grid, d, thetas, grids[k % len(grids)]),
-                        pool.submit(ev.phi_a, d, thetas[0], grids[k % len(grids)][0]))
+            futures = [(pool.submit(ev.phi_a_grid, d, directions[k % 2], grids[k % len(grids)]),
+                        pool.submit(ev.phi_a, d, (1.0,), grids[k % len(grids)][0]))
                        for k in range(4000)]
             got = [f.result(timeout=60) for f, _ in futures]
             got_point = [f.result(timeout=60) for _, f in futures]
@@ -575,6 +594,44 @@ def test_evaluator_rejects_mismatched_design():
         ev.phi_a(random_design(1, 10, 4.0, seed=0), (1.0,), HrfParams(6.0, 0.0))
     with pytest.raises(ConfigurationError):
         ev.phi_a(random_design(2, 9, 4.0, seed=0), (1.0, 0.0), HrfParams(6.0, 0.0))
+
+
+@given(q=st.integers(1, 3), runs=st.integers(1, 2),
+       timing=st.sampled_from([(4.0, 2.0), (2.5, 2.0), (4.0, 2.5), (40.0, 2.0)]),
+       rho=st.sampled_from([-0.5, 0.0, 0.3, 0.9]), scans=st.integers(1, 12),
+       kind=st.sampled_from(["random", "rest", "ends"]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_gram_is_the_gram_of_the_residualized_columns(q, runs, timing, rho, scans, kind, data):
+    # the count route against its dense definition, over rtr 1, 4 and 5, an
+    # ISI longer than the HRF window (no onset reaches the last scan), runs
+    # of one slot and up, and onsets in the first and last slots
+    isi, tr = timing
+    risi, rtr = round(isi / delta_t(isi, tr)), round(tr / delta_t(isi, tr))
+    length = scans * rtr  # a whole number of scans: scans * risi of them
+    order = data.draw(st.integers(0, min(3, scans * risi - 2)), label="order")
+    labels = data.draw(st.lists(st.integers(0, q), min_size=length, max_size=length))
+    if kind == "rest":
+        labels = [0] * length
+    elif kind == "ends":
+        labels[0] = labels[-1] = q
+    ev = make_eval(q=q, length=length, isi=isi, tr=tr, rho=rho, order=order, runs=runs)
+    d = Design(tuple(labels), q, isi)
+    u = ev.residualized(d)
+    want, got = u.T @ u, ev.gram(d)
+    np.testing.assert_array_equal(got, got.T)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+def test_gram_tables_stay_small_at_a_fine_height_grid():
+    # ISI 2.3 s, TR 2 s: delta 0.1 s, K = 321 heights, rtr = 20; a dense
+    # kernel per onset lag and residue class would take about 480 MB
+    ev = make_eval(q=2, length=40, isi=2.3, tr=2.0)
+    d = random_design(2, 40, 2.3, seed=8)
+    u = ev.residualized(d)
+    want, got = u.T @ u, ev.gram(d)
+    assert (ev.hrf_length, round(2.0 / ev.delta)) == (321, 20)
+    assert sum(t.nbytes for t in ev._gram_tables if isinstance(t, np.ndarray)) < 4e6
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 
 def test_gram_is_symmetric_psd():
