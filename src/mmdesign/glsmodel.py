@@ -19,15 +19,14 @@ Residualizing never forms an n x n operator: V is lower-bidiagonal, so V A
 is one shifted subtraction, and the drift projector is the identity minus
 Qs Qs' for a thin orthonormal basis Qs of V S.  The evaluator has two routes.
 
-Grid (`phi_a_grid`): the Gram matrix Y of a design's Q*K residualized
-columns (`gram`; `residualized` is its dense definition).  X sums shifted
-copies of the onsets and V'V is tridiagonal, so X'V'VX weights lagged counts
-of label pairs, split by onset index mod rtr, with entries of V'V; the end
-scans' AR(1) terms and the drift term Z'Z, Z = (V'D)'X, come from per-onset
-tables.  Then the grid stage on flat per-entry arrays: one matrix product of
-all p points' transposed HRF bundles with Y, one batched product over p with
-the bundles, then, with p the last axis, one product each for E'L and L'L
-over each block of directions theta.  A closed-form 2 x 2 pseudo-inverse
+Grid (`phi_a_grid`): the Gram matrix Y of a design's Q*K residualized columns
+(`gram`; `residualized` is its dense definition) from lagged label-pair
+counts, split by onset index mod rtr, weighted by entries of the tridiagonal
+V'V, less per-onset terms for the end scans and the drift term Z'Z with
+Z = (V'D)'X.  Then the grid stage on flat per-entry arrays: one matrix product
+of all p points' transposed HRF bundles with Y, one batched product over p
+with the bundles, then, with p the last axis, one product each for E'L and
+L'L over each block of directions theta.  A closed-form 2 x 2 pseudo-inverse
 F = (L'L)^- L'E gives the Schur complement M_ab = (E'E)_ab - (E'L)_a F_b one
 entry at a time, each an (n_theta, n_p) array; Q <= 2 takes 1/trace(M^{-1})
 in closed form from the entries, Q >= 3 stacks them for an eigenvalue solve.
@@ -166,8 +165,8 @@ class Evaluator:
     of one run's whitened drift columns.  On a grid, each design yields one
     run's Gram matrix, from which information matrices at every (theta, p)
     follow by small quadratic forms summed over the runs; at one point, only
-    the point's Q+2 columns are residualized.  The last grid's HRF bundles
-    and directions and the last point's weights are kept, and `hrf_bundle`
+    the point's Q+2 columns are residualized.  The stacked HRF bundles of the
+    last grid and the weights of the last point are kept, and `hrf_bundle`
     caches grids by value.
     """
 
@@ -186,7 +185,6 @@ class Evaluator:
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
         self._recent_stack: tuple = (None, None)
-        self._recent_thetas: tuple = (None, None)
         self._recent_point: tuple = (None, None, None)
 
     # -- drift removal -----------------------------------------------------
@@ -244,8 +242,7 @@ class Evaluator:
 
     @cached_property
     def _gram_tables(self) -> tuple:
-        """(rtr, lags, index, omega, onset_rows, end_rows): the label-free
-        tables of `gram`, built on its first call and stored as one tuple."""
+        """`gram`'s label-free tables, built on its first call as one tuple."""
         risi, rtr, n_scans, w = _scan_index(self.n_slots, self.isi, self.tr)
         rho, n, k, nd = self.noise.rho, self.n_slots, np.arange(w), self.drift_basis.shape[1]
         # onset j's height k is on a scan iff j = c(k) mod rtr (risi and rtr
@@ -277,19 +274,13 @@ class Evaluator:
         return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
     def _thetas(self, thetas) -> np.ndarray:
-        """The directions as a finite (n, Q) array; the last tuple's is kept,
-        found by identity, as one (thetas, array) pair that threads replace whole."""
-        recent_thetas, recent = self._recent_thetas
-        if recent_thetas is thetas:
-            return recent
+        """The directions as a finite (n, Q) array."""
         th = np.asarray(list(thetas), dtype=float)
         th = th.reshape(0, self.q_types) if th.size == 0 else th
         if th.ndim != 2 or th.shape[1] != self.q_types:
             raise ConfigurationError(f"thetas must be (n, {self.q_types}) (got {th.shape})")
         if not np.isfinite(th).all():
             raise ConfigurationError("thetas must be finite")
-        if isinstance(thetas, tuple):
-            self._recent_thetas = (thetas, th)
         return th
 
     # -- one-point route ----------------------------------------------------
@@ -352,7 +343,8 @@ class Evaluator:
 
     def _phi_from_gram(self, y: np.ndarray, thetas, ps):
         """(values, M): A-criterion values over the product grid, and the
-        information matrices as entries M[a][b], each an (n_thetas, n_ps) array."""
+        information matrices as entries M[a][b], each an (n_thetas, n_ps) array;
+        for `DirectionBlocks`, M is None and only the blocks' values are joined."""
         q, w = self.q_types, self.hrf_length
         ps = ps if isinstance(ps, tuple) else tuple(ps)
         th = self._thetas(thetas)
@@ -367,10 +359,8 @@ class Evaluator:
         np.sum(g.transpose(2, 5, 4, 3, 0, 1), axis=-1, out=gp)
         if not isinstance(thetas, DirectionBlocks):
             return _theta_stage(gp, th)
-        parts = [_theta_stage(gp, b) for b in np.split(th, np.cumsum(thetas.sizes[:-1]))]
-        values, ms = zip(*parts)
-        return np.concatenate(values), [[np.concatenate([m[a][b] for m in ms]) for b in range(q)]
-                                        for a in range(q)]
+        blocks = np.split(th, np.cumsum(thetas.sizes[:-1]))
+        return np.concatenate([_theta_stage(gp, b)[0] for b in blocks]), None
 
 
 def _theta_stage(gp: np.ndarray, th: np.ndarray):
@@ -416,9 +406,6 @@ def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     2x2 [[a, b], [b, c]] batches; a, b, c may have any common shape."""
     _, lmax, lmin = _eig_sym2(a, b, c)
     full = lmin > LL_RANK_ONE_RATIO * lmax
-    if full.all():  # the general form below, without its rank-one branches
-        den = a * c - b * b
-        return c / den, -b / den, a / den
     # rank-one fallback: M/lmax^2 approximates the truncated inverse; an
     # all-zero block divides by infinity and gets a zero inverse
     rank1 = (~full) & (lmax > 0)
@@ -465,13 +452,11 @@ def _phi_batch(m) -> np.ndarray:
         det = a * c - b * b
         ok = (lmax > 0) & (lmin > RCOND_SINGULAR * lmax)
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.where(ok, det / t, 0.0)
-        return phi
+            return np.where(ok, det / t, 0.0)
     # a cofactor form det / (sum of 2 x 2 principal minors) loses far more than
     # eps * kappa when two eigenvalues are small, so Q >= 3 solves for them
     lam = np.linalg.eigvalsh(np.stack([np.stack(row, axis=-1) for row in m], axis=-2))
-    lmin = lam[..., 0]
-    lmax = lam[..., -1]
+    lmin, lmax = lam[..., 0], lam[..., -1]
     ok = (lmax > 0) & (lmin > RCOND_SINGULAR * lmax)
     with np.errstate(divide="ignore", invalid="ignore"):
         tr_inv = np.sum(1.0 / np.where(lam > 0, lam, 1.0), axis=-1)

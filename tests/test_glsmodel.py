@@ -437,7 +437,7 @@ def test_pinv_sym2_is_the_batch_form_on_one_block(kind):
 
 def test_pinv_sym2_batch_is_the_one_block_form_on_whole_batches():
     # full-rank blocks mixed with rank-one, all-zero and overflowing ones, and
-    # a batch of full-rank blocks only, which skips the rank-one branches
+    # a batch of full-rank blocks only, whose rank-one branches are all unused
     rng = np.random.default_rng(9)
     kinds = ("psd", "rank-one", "near-rank-one", "zero")
     mixed = [np.append(np.concatenate(x), v) for x, v in
@@ -553,23 +553,23 @@ def test_non_finite_theta_rejected(theta):
 
 
 def test_stacked_bundles_shared_by_threads():
-    # one evaluator scores 12 grids of 1-3 p points and one or two directions,
-    # and one point of each, from 8 threads that switch as often as the
-    # interpreter allows: every result must be its serial value, whichever
-    # grid or point the kept bundles, directions and weights belong to
+    # one evaluator scores 12 grids of 1-3 p points, and one point of each,
+    # from 8 threads that switch as often as the interpreter allows: every
+    # result must be its serial value, whichever grid or point the kept
+    # bundles and weights belong to
     d = random_design(1, 9, 4.0, seed=60)
-    directions = [((1.0,),), ((1.0,), (-0.5,))]
+    thetas = [(1.0,)]
     grids = [tuple(HrfParams(6.0 + 0.25 * k + 0.1 * j, 0.5) for j in range(1 + k % 3))
              for k in range(12)]
-    want = [make_eval().phi_a_grid(d, directions[k % 2], ps) for k, ps in enumerate(grids)]
-    want_point = [make_eval().phi_a(d, (1.0,), ps[0]) for ps in grids]
+    want = [make_eval().phi_a_grid(d, thetas, ps) for ps in grids]
+    want_point = [make_eval().phi_a(d, thetas[0], ps[0]) for ps in grids]
     ev = make_eval()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [(pool.submit(ev.phi_a_grid, d, directions[k % 2], grids[k % len(grids)]),
-                        pool.submit(ev.phi_a, d, (1.0,), grids[k % len(grids)][0]))
+            futures = [(pool.submit(ev.phi_a_grid, d, thetas, grids[k % len(grids)]),
+                        pool.submit(ev.phi_a, d, thetas[0], grids[k % len(grids)][0]))
                        for k in range(4000)]
             got = [f.result(timeout=60) for f, _ in futures]
             got_point = [f.result(timeout=60) for _, f in futures]
