@@ -63,7 +63,7 @@ def _check_type(key: str, value, annotation) -> None:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: model settings, grids, search space, GA knobs, seeds."""
+    """One experiment: model settings, grid steps, search space, GA knobs, seeds."""
 
     q_types: int = 1
     length: int = 255
@@ -73,11 +73,9 @@ class ExperimentConfig:
     drift_order: int = 2
     runs: int = 1
     run_shift: float = DEFAULT_RUN_SHIFT
-    grid: str | None = None          # objective/evaluation preset; per-command default
     region: str = "theta0"
     p_step: float | None = None
     phi_step: float | None = None
-    report_grid: str = "comparison"  # final-evaluation preset for searches
     space: str = "xi"
     seeds: tuple[int, ...] = (0,)
     table: str | None = None
@@ -97,7 +95,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"seeds must be >= 0 (got {min(self.seeds)})")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
+        if self.region not in ("theta0", "full"):
+            raise ConfigurationError(f"unknown amplitude region {self.region!r}")
         self._noise = NoiseSpec(rho=self.rho, runs=self.runs, run_shift=self.run_shift)
+        self._drift = DriftSpec(order=self.drift_order)
+        self._ga = GaConfig(q_types=self.q_types, length=self.length, isi=self.isi,
+                            space=self.space, **self.ga)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -145,25 +148,20 @@ class ExperimentConfig:
         return self._noise
 
     def drift(self) -> DriftSpec:
-        return DriftSpec(order=self.drift_order)
+        return self._drift
 
     def evaluator(self, n_slots: int | None = None):
         return get_evaluator(self.q_types, n_slots if n_slots is not None else self.length,
                              self.isi, self.tr, self._noise, self.drift())
 
-    def make_grid(self, default_preset: str | None = None,
-                  include_zero: bool = False) -> ParamGrid:
-        """The grid of the `grid` preset, or of `default_preset` when `grid` is
-        unset; with no default, the searches' final-report grid `report_grid`,
-        which `grid` does not override."""
-        preset = (self.report_grid if default_preset is None
-                  else self.grid if self.grid is not None else default_preset)
+    def make_grid(self, preset: str, include_zero: bool = False) -> ParamGrid:
+        """The `preset` grid ("search" or "comparison") over `region`, with
+        `p_step` and `phi_step` in place of the preset's own when set."""
         return make_grid(self.q_types, preset=preset, region=self.region,
                          include_zero=include_zero, p_step=self.p_step, phi_step=self.phi_step)
 
     def ga_config(self, seed: int) -> GaConfig:
-        return GaConfig(q_types=self.q_types, length=self.length, isi=self.isi,
-                        space=self.space, seed=seed, **self.ga)
+        return replace(self._ga, seed=seed)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -176,11 +174,7 @@ def config_from_args(args) -> ExperimentConfig:
     fields = {}
     if getattr(args, "seed", None):
         fields["seeds"] = tuple(args.seed)
-    for name in ("grid", "space", "table", "out"):
-        v = getattr(args, name, None)
-        if v is not None:
-            fields[name] = v
-    for name in ("q", "length", "isi", "tr", "rho", "runs"):
+    for name in ("space", "table", "out", "q", "length", "isi", "tr", "rho", "runs"):
         v = getattr(args, name, None)
         if v is not None:
             fields["q_types" if name == "q" else name] = v
@@ -230,12 +224,12 @@ def write_csv(path: str, header: list[str], grid: ParamGrid, blocks) -> None:
 
 
 class _RunClock:
-    """Worker count (`--threads`), start time and clocks of one command, taken
-    once its configuration is resolved; `lap` ends a stage, and `finish` ends
-    the last, "write", and writes clocks and stages to run_meta.json."""
+    """Worker count (`--threads`, else 1), start time and clocks of one command,
+    taken once its configuration is resolved; `lap` ends a stage, and `finish`
+    ends the last, "write", and writes clocks and stages to run_meta.json."""
 
     def __init__(self, args) -> None:
-        self.threads = resolve_threads(args.threads)
+        self.threads = resolve_threads(getattr(args, "threads", 1))
         self.started = _now_iso()
         self.t0, self.c0 = time.perf_counter(), time.process_time()
         self.last, self.stage_s = self.t0, {}
@@ -356,7 +350,6 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    resolve_threads(args.threads)
     cfg = config_from_args(args)
     seed = cfg.seeds[0]
     q, length, isi = cfg.q_types, cfg.length, cfg.isi
@@ -451,7 +444,7 @@ def cmd_search_maximin(args) -> int:
     cfg = config_from_args(args)
     run = _RunClock(args)
     objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
-    grid = cfg.make_grid()
+    grid = cfg.make_grid("comparison")
     run.lap("setup")
 
     def report(d: Design) -> dict:
@@ -575,7 +568,7 @@ def cmd_example_miezin(args) -> int:
                   run_shift=1.25, drift_order=2, region="theta0")
     run = _RunClock(args)
     search_grid = cfg.make_grid("search")
-    report_grid = cfg.make_grid()
+    report_grid = cfg.make_grid("comparison")
     run.lap("setup")
 
     def scored(d: Design, c: ExperimentConfig = cfg) -> tuple:
@@ -647,26 +640,20 @@ def cmd_example_miezin(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--seed", type=int, action="append",
-                   help="random seed (repeatable; overrides config seeds)")
-    p.add_argument("--grid", choices=["search", "comparison"],
-                   help="grid preset override")
-    p.add_argument("--space", choices=["xi", "xi0"], help="design space override")
-    p.add_argument("--table", help="locally optimal design table (JSON)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="seeds searched at once (default 1)")
-
-
-def _add_model_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, help="number of stimulus types")
-    p.add_argument("--length", type=int, help="number of stimulus slots")
-    p.add_argument("--isi", type=float, help="inter-stimulus interval, seconds")
-    p.add_argument("--tr", type=float, help="scan repetition time, seconds")
-    p.add_argument("--rho", type=float, help="AR(1) noise correlation")
-    p.add_argument("--runs", type=int, help="number of runs (1 or 2)")
+_FLAGS = {
+    "seed": dict(type=int, action="append",
+                 help="random seed (repeatable; overrides config seeds)"),
+    "space": dict(choices=["xi", "xi0"], help="design space override"),
+    "table": dict(help="locally optimal design table (JSON)"),
+    "threads": dict(type=int, default=1, help="seeds searched at once (default 1)"),
+    "q": dict(type=int, help="number of stimulus types"),
+    "length": dict(type=int, help="number of stimulus slots"),
+    "isi": dict(type=float, help="inter-stimulus interval, seconds"),
+    "tr": dict(type=float, help="scan repetition time, seconds"),
+    "rho": dict(type=float, help="AR(1) noise correlation"),
+    "runs": dict(type=int, help="number of runs (1 or 2)"),
+}
+_MODEL = "q length isi tr rho runs"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -675,29 +662,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Find and evaluate worst-case efficient fMRI stimulus sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, help_text: str, budget: str | None = None,
-                model: bool = True) -> argparse.ArgumentParser:
-        """A subcommand running `func`, with the common flags, the model overrides
-        when `model` is set, and --budget when `budget` names what it covers."""
+    def command(name: str, func, help_text: str, flags: str,
+                budget: str | None = None) -> argparse.ArgumentParser:
+        """A subcommand running `func`, with --config, --out, the `_FLAGS`
+        named in `flags`, and --budget when `budget` names what it covers."""
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if model:
-            _add_model_overrides(p)
+        p.add_argument("--config", help="experiment config JSON")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.add_argument("--out", help="output directory")
         if budget:
             p.add_argument("--budget", type=int, help=f"fitness evaluations per {budget}")
         p.set_defaults(func=func)
         return p
 
-    p = command("evaluate", cmd_evaluate, "evaluate a design file over a grid")
+    p = command("evaluate", cmd_evaluate, "evaluate a design file over a grid",
+                "table " + _MODEL)
     p.add_argument("design", help="design file (text or JSON)")
     command("search-maximin", cmd_search_maximin, "search for a worst-case optimal design",
-            budget="search")
+            "seed space threads " + _MODEL, budget="search")
     command("search-mme", cmd_search_mme,
-            "search for a worst-case efficient design (needs a table)", budget="search")
+            "search for a worst-case efficient design (needs a table)",
+            "seed space table threads " + _MODEL, budget="search")
     command("build-table", cmd_build_table, "build or extend a locally optimal design table",
-            budget="grid point")
+            "seed space table threads " + _MODEL, budget="grid point")
 
-    p = command("generate", cmd_generate, "write a baseline design file")
+    p = command("generate", cmd_generate, "write a baseline design file", "seed q length isi")
     p.add_argument("kind", choices=["block", "mseq", "random",
                                     "constrained-random", "cyclic"])
     p.add_argument("--block-size", type=int, default=4,
@@ -713,12 +703,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output design file path")
 
     p = command("example-miezin", cmd_example_miezin,
-                "two-run worked example with baselines and robustness", budget="search",
-                model=False)
+                "two-run worked example with baselines and robustness", "seed space threads",
+                budget="search")
     p.add_argument("--n-random", type=int, default=100,
                    help="number of constrained random competitors")
 
-    p = command("compare", cmd_compare, "evaluate several design files side by side")
+    p = command("compare", cmd_compare, "evaluate several design files side by side",
+                "table threads " + _MODEL)
     p.add_argument("designs", nargs="+", help="design files")
     p.add_argument("--rg", action="store_true",
                    help="also report the permutation-image efficiency bound")

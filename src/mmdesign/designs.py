@@ -227,6 +227,8 @@ def constrained_random(length: int, zero_fraction: float, gap_window: tuple,
     expected = isi / (1.0 - zero_fraction)
     lo = expected * 0.98 if gap_window[0] is None else gap_window[0]
     hi = expected * 1.02 if gap_window[1] is None else gap_window[1]
+    if not lo <= hi:  # also a NaN bound
+        raise ConfigurationError(f"gap window [{lo}, {hi}] s is empty")
     base = np.array([0] * n_zero + [1] * (length - n_zero))
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):

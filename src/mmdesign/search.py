@@ -127,6 +127,9 @@ def ga_search(objective, config: GaConfig,
     rng = np.random.default_rng(config.seed)
     glen = config.genome_length
     q = config.q_types
+    if (q + 1) ** glen < config.population_size:  # the distinct-genome fill would never end
+        raise ConfigurationError(f"the {config.space} space holds {(q + 1) ** glen} genomes, "
+                                 f"fewer than population_size {config.population_size}")
     # floor the per-position rate at 1/length so every child carries one
     # expected flip; short genomes would otherwise clone their parents and
     # burn the budget on duplicates (rate 0 still disables mutation)

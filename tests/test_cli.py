@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,17 +309,23 @@ def assert_clean_exit(result, code):
 
 
 def test_exit_code_zero_threads(tmp_path):
-    cfg = write_config(tmp_path)
-    design = write_design(tmp_path, [1, 0] * 6)
-    assert_clean_exit(run_cli(["evaluate", design, "--config", cfg, "--threads", "0"]), 2)
+    out = tmp_path / "out"
+    result = run_cli(["search-maximin", "--config", write_config(tmp_path), "--threads", "0",
+                      "--out", str(out)])
+    assert_clean_exit(result, 2)
+    assert result[1].strip() == "error: thread count must be >= 1 (got 0)"
+    assert not out.exists()
 
 
 def test_exit_code_generate_zero_threads(tmp_path):
+    # generate runs on one thread and declares no --threads, so argparse
+    # rejects the flag before anything is written
     out = tmp_path / "r.txt"
-    result = run_cli(["generate", "random", "--length", "12", "--threads", "0",
-                      "-o", str(out)])
-    assert_clean_exit(result, 2)
-    assert result[1].strip() == "error: thread count must be >= 1 (got 0)"
+    rc, err = run_cli(["generate", "random", "--length", "12", "--threads", "0",
+                       "-o", str(out)])
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == "mmdesign: error: unrecognized arguments: --threads 0"
     assert not out.exists()
 
 
@@ -492,13 +499,105 @@ def test_exit_code_config_seed_and_size(tmp_path):
     ["constrained-random", "--zero-fraction", "1"],
     ["constrained-random", "--length", "60", "--zero-fraction", "0.99"],
     # the config's noise spec is checked for every command, generate included
-    ["random", "--rho", "1"],
-    ["random", "--runs", "3"],
+    ["random", "--config", {"rho": 1}],
+    ["random", "--config", {"runs": 3}],
+    # an empty or NaN gap window exits at once, not after 10,000 tries
+    ["constrained-random", "--gap-min", "9", "--gap-max", "8"],
+    ["constrained-random", "--gap-min", "nan"],
 ])
 def test_exit_code_bad_generate_value(tmp_path, args):
+    # a dict stands for a config file with those keys
+    args = [write_config(tmp_path, **a) if isinstance(a, dict) else a for a in args]
     out = tmp_path / "d.txt"
     assert_clean_exit(run_cli(["generate", *args, "-o", str(out)]), 2)
     assert not out.exists()
+
+
+# the options each subcommand declares, beside --config, --out and -h
+SUBCOMMAND_FLAGS = {
+    "evaluate": "--table --q --length --isi --tr --rho --runs",
+    "search-maximin": "--seed --space --threads --q --length --isi --tr --rho --runs --budget",
+    "search-mme": "--seed --space --table --threads --q --length --isi --tr --rho --runs "
+                  "--budget",
+    "build-table": "--seed --space --table --threads --q --length --isi --tr --rho --runs "
+                   "--budget",
+    "generate": "--seed --q --length --isi --block-size --degree --zero-fraction --gap-min "
+                "--gap-max --short --output",
+    "example-miezin": "--seed --space --threads --budget --n-random",
+    "compare": "--table --threads --q --length --isi --tr --rho --runs --rg",
+}
+
+# flags that once reached every subcommand whether or not it read them
+REMOVED_FLAGS = [(command, flag) for command, flags in {
+    "evaluate": "--grid --seed --space --threads",
+    "search-maximin": "--grid --table",
+    "search-mme": "--grid",
+    "build-table": "--grid",
+    "generate": "--grid --space --table --threads --tr --rho --runs",
+    "example-miezin": "--grid --table",
+    "compare": "--grid --seed --space",
+}.items() for flag in flags.split()]
+
+POSITIONALS = {"evaluate": ["d.txt"], "generate": ["random"], "compare": ["d.txt"]}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_subcommand_declares_only_the_flags_it_reads(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    declared = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert declared == {"--help", "--config", "--out", *SUBCOMMAND_FLAGS[command].split()}
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_removed_flag_exits_via_argparse(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *POSITIONALS.get(command, []), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["grid", "report_grid"])
+def test_exit_code_dropped_grid_keys(tmp_path, key):
+    # each command names its preset; p_step and phi_step adjust both
+    result = run_cli(["search-maximin", "--config", write_config(tmp_path, **{key: "search"})])
+    assert_clean_exit(result, 2)
+    assert result[1].strip() == f"error: unknown config keys: {key}"
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+@pytest.mark.parametrize("key, value, message", [
+    ("drift_order", -1, "drift order"), ("region", "foo", "region"),
+    ("space", "foo", "space"), ("ga.population_size", 1, "population_size"),
+])
+def test_exit_code_bad_config_key_for_every_command(tmp_path, capsys, command, key, value,
+                                                    message):
+    # every key is checked at load, whether or not the command reads it
+    bad = {"ga": {"population_size": value}} if key.startswith("ga.") else {key: value}
+    cfg = write_config(tmp_path, **bad)
+    design = write_design(tmp_path, [1, 0] * 6, "d.txt")
+    positionals = [design if a == "d.txt" else a for a in POSITIONALS.get(command, [])]
+    assert main([command, *positionals, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["search-maximin", "--q", "1", "--length", "3"],                     # 2^3 = 8 genomes
+    ["build-table", "--q", "3", "--length", "6", "--space", "xi0"],      # 4^2 = 16
+])
+def test_exit_code_search_space_smaller_than_population(tmp_path, args):
+    # the initial population's distinct-genome fill once looped for ever here
+    result = run_cli([*args, "--budget", "20", "--out", str(tmp_path / "out")])
+    assert_clean_exit(result, 2)
+    assert "fewer than population_size 20" in result[1]
+
+
+def test_evaluate_design_shorter_than_population(tmp_path):
+    # the GA settings are checked at load, but the space size only by a search
+    cfg = write_config(tmp_path, length=3)
+    assert main(["evaluate", write_design(tmp_path, [1, 0, 1]), "--config", cfg]) == 0
 
 
 def test_exit_code_no_random_competitors(tmp_path):
@@ -561,7 +660,7 @@ def test_search_maximin_rg_bound_covers_the_report_grid(tmp_path):
     reported = json.loads((out / "summary.json").read_text())["per_seed"][0]["min_rg"]
     d = load_design(str(out / "best_design.txt"), q_types=2, isi=cfg.isi)
     args = (cfg.tr, cfg.noise(), cfg.drift())
-    assert reported == min_rg(d, cfg.make_grid().ps, *args)
+    assert reported == min_rg(d, cfg.make_grid("comparison").ps, *args)
     assert reported != min_rg(d, p_grid(0.1), *args)
 
 
@@ -738,7 +837,7 @@ def test_search_maximin_scores_each_reported_design_once(tmp_path, grid_calls):
     cfg = ExperimentConfig.load(cfg_path)
     rows = json.loads((tmp_path / "out" / "summary.json").read_text())["per_seed"]
     assert len(grid_calls) == sum(row["evaluations"] for row in rows) + len(rows)
-    grid, args = cfg.make_grid(), (cfg.tr, cfg.noise(), cfg.drift())
+    grid, args = cfg.make_grid("comparison"), (cfg.tr, cfg.noise(), cfg.drift())
     for row in rows:
         d = load_design(str(tmp_path / "out" / "designs" / f"seed_{row['seed']}.txt"),
                         q_types=2, isi=cfg.isi)

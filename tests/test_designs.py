@@ -169,6 +169,13 @@ def test_constrained_random_default_window(isi, zero_fraction, lo, hi):
             constrained_random(40, zero_fraction, window, isi=isi, seed=0, max_tries=0)
 
 
+@pytest.mark.parametrize("window", [(9.0, 8.0), (None, 4.0), (math.nan, None), (None, math.nan)])
+def test_constrained_random_rejects_empty_window_before_sampling(window):
+    # an empty or NaN window once failed with SamplingError after every try
+    with pytest.raises(ConfigurationError, match="gap window"):
+        constrained_random(40, 0.5, window, isi=2.5, seed=0)
+
+
 @pytest.mark.parametrize("length, zero_fraction", [(20, 1.0), (20, 0.95), (1, 0.0)])
 def test_constrained_random_needs_two_onsets(length, zero_fraction):
     with pytest.raises(ConfigurationError, match="fewer than 2 onsets"):

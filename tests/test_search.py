@@ -147,6 +147,20 @@ def test_search_result_feasible_and_serializable():
     assert json.loads(blob)["seed"] == 5
 
 
+@pytest.mark.parametrize("space, q, length, n_genomes", [("xi", 1, 3, 8), ("xi0", 3, 6, 16)])
+def test_search_space_must_hold_the_population(space, q, length, n_genomes):
+    # the initial fill draws distinct genomes, so a space holding fewer than
+    # population_size of them would loop for ever; one holding exactly that
+    # many fills up
+    base = dict(q_types=q, length=length, isi=4.0, space=space, crossover_pairs=2,
+                max_evaluations=40)
+    with pytest.raises(ConfigurationError, match=f"{n_genomes} genomes, fewer than "
+                                                 f"population_size {n_genomes + 1}"):
+        ga_search(count_ones, GaConfig(population_size=n_genomes + 1, **base))
+    result = ga_search(count_ones, GaConfig(population_size=n_genomes, **base))
+    assert result.n_evaluations == 40
+
+
 def test_seed_designs_warm_start():
     cfg = GaConfig(q_types=1, length=12, isi=4.0, max_evaluations=20, seed=9)
     best = Design(labels=(1,) * 12, q_types=1, isi=4.0)
