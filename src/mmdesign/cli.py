@@ -204,23 +204,25 @@ def write_csv(path: str, header: list[str], grid: ParamGrid, blocks) -> None:
     """Write a grid CSV: `header`, then for each `(name, columns)` in `blocks`
     one row per point of `grid` in grid order (direction-major, then p1, then
     p6): `name` unless None, CSV-quoted if it has a comma, quote or newline;
-    the point's p1, p6, phi_* and theta_*; one cell per array in `columns`,
-    each shaped like `Evaluator.phi_a_grid` values.  Numbers are rendered as
-    `fmt_float` does; point cells once per call, one direction's rows at a time."""
+    the point's p1, p6, phi_* and theta_*; one cell per array in `columns`
+    (two when `header` ends in "re"), each shaped like `Evaluator.phi_a_grid`
+    values.  Numbers are rendered as `fmt_float` does (`'%.12g' % x`), by one
+    `%` call per block and direction on that direction's row template; the
+    name cell is added to the rows afterwards, so it is never a format string."""
     p_cells = [f"{fmt_float(p.p1)},{fmt_float(p.p6)}," for p in grid.ps]
-    th_cells = ["".join(f"{fmt_float(x)}," for x in (*theta_to_angles(th), *th))
-                for th in grid.thetas]
+    values = "%.12g,%.12g\n" if header[-1] == "re" else "%.12g\n"
+    templates = ["".join([f"{pc}{tc}{values}" for pc in p_cells])
+                 for tc in ("".join(f"{fmt_float(x)}," for x in (*theta_to_angles(th), *th))
+                            for th in grid.thetas)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for name, columns in blocks:
             buf = io.StringIO()  # the name cell and its comma, as csv.writer quotes them
             csv.writer(buf, lineterminator="\n").writerow([] if name is None else [name, ""])
             lead = buf.getvalue()[:-1]
-            for i, tc in enumerate(th_cells):
-                cells = [f"{v:.12g}" for v in columns[0][i].tolist()]
-                for col in columns[1:]:
-                    cells = [f"{c},{v:.12g}" for c, v in zip(cells, col[i].tolist())]
-                fh.writelines([f"{lead}{pc}{tc}{c}\n" for pc, c in zip(p_cells, cells)])
+            for template, cells in zip(templates, np.stack(columns, -1)):
+                text = template % tuple(cells.ravel().tolist())
+                fh.write(lead + text[:-1].replace("\n", "\n" + lead) + "\n" if lead else text)
 
 
 class _RunClock:
@@ -349,9 +351,16 @@ def cmd_evaluate(args) -> int:
 # generate
 # ---------------------------------------------------------------------------
 
+def _one_seed(cfg: ExperimentConfig, command: str) -> int:
+    """The seed of a command that makes one design or table."""
+    if len(cfg.seeds) > 1:
+        raise ConfigurationError(f"{command} takes one seed (got {list(cfg.seeds)})")
+    return cfg.seeds[0]
+
+
 def cmd_generate(args) -> int:
     cfg = config_from_args(args)
-    seed = cfg.seeds[0]
+    seed = _one_seed(cfg, "generate")
     q, length, isi = cfg.q_types, cfg.length, cfg.isi
     if args.kind == "block":
         d = block_design(q, args.block_size, length, isi)
@@ -366,21 +375,13 @@ def cmd_generate(args) -> int:
     elif args.kind == "constrained-random":
         d = constrained_random(length, args.zero_fraction, (args.gap_min, args.gap_max),
                                isi, seed)
-    elif args.kind == "cyclic":
+    else:  # cyclic, the last of the kinds argparse allows
         if not args.short:
             raise ConfigurationError("cyclic generation needs --short FILE")
         short = _load_design_checked(args.short, cfg)
         d = cyclic_design(short, q, length)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown design kind {args.kind!r}")
-    out = args.output
-    if out is None:
-        outdir = _ensure_out(cfg)
-        out = os.path.join(outdir, f"{args.kind}.txt")
-    else:
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+    out = os.path.join(cfg.out, f"{args.kind}.txt") if args.output is None else args.output
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     save_design(d, out, fmt="json" if out.endswith(".json") else "text")
     print(f"wrote {out} (q={d.q_types}, L={len(d)}, isi={fmt_float(d.isi)})")
     return 0
@@ -477,6 +478,7 @@ def cmd_search_mme(args) -> int:
 
 def cmd_build_table(args) -> int:
     cfg = config_from_args(args)
+    seed = _one_seed(cfg, "build-table")
     run = _RunClock(args)
     grid = cfg.make_grid("search", include_zero=True)
     outdir = _ensure_out(cfg)
@@ -486,7 +488,7 @@ def cmd_build_table(args) -> int:
         existing = _load_table(path, cfg)
         print(f"merging into existing table with {len(existing)} entries")
     ev = cfg.evaluator()
-    ga = cfg.ga_config(cfg.seeds[0])
+    ga = cfg.ga_config(seed)
     run.lap("setup")
 
     def progress(i, total):
@@ -497,9 +499,7 @@ def cmd_build_table(args) -> int:
     # the previous point's winner
     table = build_local_opt_table(grid, ev, ga, existing=existing, progress=progress)
     run.lap("search")
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     table.save(path)
     run.finish(outdir, {"table": path, "grid_points": grid.n_points})
     print(f"wrote {path} ({len(table)} entries over {grid.n_points} grid points)")

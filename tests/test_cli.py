@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import mmdesign
 
@@ -477,6 +479,20 @@ def test_exit_code_negative_seed_or_size(tmp_path, args, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["generate", "random", "--length", "12"], ["build-table"]])
+@pytest.mark.parametrize("through", ["flags", "config"])
+def test_exit_code_one_seed_commands_reject_more(tmp_path, command, through):
+    # generate makes one design and build-table one table: a second seed
+    # would be ignored, so it is refused before anything is written
+    out = tmp_path / "out"
+    seeds = ["--seed", "3", "--seed", "4"] if through == "flags" else [
+        "--config", write_config(tmp_path, seeds=[3, 4])]
+    result = run_cli([*command, *seeds, "--out", str(out)])
+    assert_clean_exit(result, 2)
+    assert result[1].strip() == f"error: {command[0]} takes one seed (got [3, 4])"
+    assert not out.exists()
+
+
 def test_exit_code_config_seed_and_size(tmp_path):
     design = write_design(tmp_path, [1, 0] * 6)
     for key, value in (("seeds", [0, -3]), ("seeds", [3, 0, 3]), ("q_types", 0),
@@ -926,7 +942,8 @@ def test_write_csv_matches_per_row_writer(tmp_path, q, with_re, named):
     assert grid.thetas[0] == (0.0,) * q
     rng = np.random.default_rng(q)
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 123456789012.5, 1.0 / 3.0]
-    names = ["plain", "a,b", 'say "hi"', "with space"] if named else [None]
+    names = (["plain", "a,b", 'say "hi"', "with space", "100%", "%s", "%%d", "%(x)s",
+              "new\nline"] if named else [None])
     blocks = []
     for k, name in enumerate(names):
         columns = []
@@ -941,6 +958,31 @@ def test_write_csv_matches_per_row_writer(tmp_path, q, with_re, named):
     # line lists, so that a failure reports the first differing row quickly
     assert (path.read_bytes().decode("utf-8").splitlines(keepends=True)
             == per_row_csv(header, grid, blocks).splitlines(keepends=True))
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(-0.0)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(5e-324)
+def test_percent_format_matches_fmt_float(x):
+    # write_csv renders the values of `ndarray.tolist()` with '%.12g'
+    (value,) = np.array([x]).tolist()
+    assert "%.12g" % value == fmt_float(x)
+
+
+def test_compare_writes_percent_design_names_verbatim(tmp_path):
+    cfg = write_config(tmp_path, q_types=2, length=12)
+    stems = ["pct%s,x", "100%,%(x)s"]
+    paths = [write_design(tmp_path, random_design(2, 12, 4.0, seed=20 + k).labels, f"{s}.txt")
+             for k, s in enumerate(stems)]
+    rc, err = run_cli(["compare", *paths, "--config", cfg])
+    assert rc == 0, err
+    with open(tmp_path / "out" / "comparison.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    n_points = ExperimentConfig.load(cfg).make_grid("comparison").n_points
+    assert [r[0] for r in rows] == [stems[0]] * n_points + [stems[1]] * n_points
 
 
 def read_csv_column(path, column, design=None):
