@@ -15,8 +15,8 @@ from .designs import (Design, block_design, constrained_random, cyclic_design,
                       m_sequence_design, random_design, relabel, save_design)
 from .criteria import (LocalOptTable, ParamGrid, angles_to_theta,
                        full_theta_grid, make_grid, min_phi_a, min_re, min_rg,
-                       p_grid, relative_efficiency, rg_ratios,
-                       theta_to_angles, theta0_grid, zero_theta)
+                       p_grid, relative_efficiency, theta_to_angles,
+                       theta0_grid, zero_theta)
 from .errors import (ConfigurationError, GenerationError, InputParseError,
                      MmdesignError, NumericalError, SamplingError,
                      TableFormatError, TableLookupError)
@@ -35,8 +35,7 @@ __all__ = [
     "m_sequence", "m_sequence_design", "random_design", "relabel", "save_design",
     "LocalOptTable", "ParamGrid", "angles_to_theta", "full_theta_grid",
     "make_grid", "min_phi_a", "min_re", "min_rg", "p_grid",
-    "relative_efficiency", "rg_ratios", "theta_to_angles", "theta0_grid",
-    "zero_theta",
+    "relative_efficiency", "theta_to_angles", "theta0_grid", "zero_theta",
     "ConfigurationError", "GenerationError", "InputParseError", "MmdesignError",
     "NumericalError", "SamplingError", "TableFormatError", "TableLookupError",
     "DriftSpec", "Evaluator", "NoiseSpec", "drift_matrix", "evaluator_for",

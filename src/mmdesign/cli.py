@@ -7,8 +7,8 @@ file plus flag overrides) and a seed list, and writes its primary outputs
 seeds reproduces them byte for byte.  Timing and version info go to a separate
 run_meta.json so the primary artifacts stay stable.
 
-Exit codes: 0 success, 2 configuration error, 3 input parse error, 4 runtime
-numerical error.
+Exit codes: 0 success, 2 configuration error or unwritable output path, 3
+input parse error, 4 runtime numerical error or out of memory.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .designs import (Design, block_design, constrained_random, cyclic_design,
                       m_sequence_design, m_sequence_params, random_design,
                       save_design)
 from .errors import (ConfigurationError, InputParseError, MmdesignError,
-                     TableFormatError)
+                     NumericalError, TableFormatError)
 from .glsmodel import DEFAULT_RUN_SHIFT, DriftSpec, NoiseSpec, get_evaluator
 from .search import (GaConfig, SearchResult, ga_search, maximin_objective,
                      mme_objective, build_local_opt_table)
@@ -327,13 +327,13 @@ def cmd_evaluate(args) -> int:
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
     denom = table.denominators(grid) if table is not None else None
+    outdir = _ensure_out(cfg)
     run.lap("setup")
     columns, worst = _score(cfg, d, grid, denom)
     run.lap("scoring")
     summary = {"design_file": args.design, "q_types": d.q_types, "length": len(d),
                "isi": d.isi, "grid_points": grid.n_points, **worst}
     run.lap("report")
-    outdir = _ensure_out(cfg)
     write_csv(os.path.join(outdir, "evaluation.csv"),
               grid_header(d.q_types, with_re=denom is not None), grid, [(None, columns)])
     write_json(os.path.join(outdir, "evaluation.json"), summary)
@@ -407,6 +407,9 @@ def _search_command(cfg: ExperimentConfig, run: _RunClock, objective, criterion:
     """Search once per seed and report each best design: `report(design)` gives
     its worst case under `criterion` (a `min_result_dict`) and more fields of
     its summary row; `summary_extras` are more summary fields, after the config."""
+    outdir = _ensure_out(cfg)
+    ddir = os.path.join(outdir, "designs")
+    os.makedirs(ddir, exist_ok=True)
     results, reports = _search_and_report(cfg, run, objective, report)
     finals = [report[criterion]["value"] for report in reports]
     best_idx = _best_index(finals)
@@ -425,9 +428,6 @@ def _search_command(cfg: ExperimentConfig, run: _RunClock, objective, criterion:
         "best_seed": cfg.seeds[best_idx],
         f"best_{criterion}": finals[best_idx],
     }
-    outdir = _ensure_out(cfg)
-    ddir = os.path.join(outdir, "designs")
-    os.makedirs(ddir, exist_ok=True)
     for seed, r in zip(cfg.seeds, results):
         save_design(r.best_design, os.path.join(ddir, f"seed_{seed}.txt"))
     save_design(results[best_idx].best_design, os.path.join(outdir, "best_design.txt"))
@@ -483,6 +483,7 @@ def cmd_build_table(args) -> int:
     grid = cfg.make_grid("search", include_zero=True)
     outdir = _ensure_out(cfg)
     path = cfg.table or os.path.join(outdir, "table.json")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     existing = None
     if os.path.exists(path):
         existing = _load_table(path, cfg)
@@ -499,7 +500,6 @@ def cmd_build_table(args) -> int:
     # the previous point's winner
     table = build_local_opt_table(grid, ev, ga, existing=existing, progress=progress)
     run.lap("search")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     table.save(path)
     run.finish(outdir, {"table": path, "grid_points": grid.n_points})
     print(f"wrote {path} ({len(table)} entries over {grid.n_points} grid points)")
@@ -521,11 +521,12 @@ def cmd_compare(args) -> int:
     table = _load_table(cfg.table, cfg) if cfg.table else None
     grid = cfg.make_grid("comparison", include_zero=table is not None)
     denom = table.denominators(grid) if table is not None else None
+    designs = [_load_design_checked(path, cfg) for path in args.designs]
+    outdir = _ensure_out(cfg)
+    run.lap("setup")
     blocks = []
     per_design = []
-    for path, name in zip(args.designs, names):
-        d = _load_design_checked(path, cfg)
-        run.lap("setup")
+    for path, name, d in zip(args.designs, names, designs):
         columns, worst = _score(cfg, d, grid, denom, rg=args.rg and cfg.q_types >= 2)
         run.lap("scoring")
         blocks.append((name, columns))
@@ -539,7 +540,6 @@ def cmd_compare(args) -> int:
     summary = {"criterion": key, "designs": per_design,
                "ranking": [per_design[i]["design"] for i in ranking]}
     run.lap("report")
-    outdir = _ensure_out(cfg)
     write_csv(os.path.join(outdir, "comparison.csv"),
               ["design"] + grid_header(cfg.q_types, with_re=denom is not None), grid,
               blocks)
@@ -569,6 +569,9 @@ def cmd_example_miezin(args) -> int:
     run = _RunClock(args)
     search_grid = cfg.make_grid("search")
     report_grid = cfg.make_grid("comparison")
+    outdir = _ensure_out(cfg)
+    ddir = os.path.join(outdir, "designs")
+    os.makedirs(ddir, exist_ok=True)
     run.lap("setup")
 
     def scored(d: Design, c: ExperimentConfig = cfg) -> tuple:
@@ -618,9 +621,6 @@ def cmd_example_miezin(args) -> int:
         "best_seed": cfg.seeds[best_idx],
         "robustness": robustness,
     }
-    outdir = _ensure_out(cfg)
-    ddir = os.path.join(outdir, "designs")
-    os.makedirs(ddir, exist_ok=True)
     for name, (d, _, _) in competitors.items():
         save_design(d, os.path.join(ddir, f"{name}.txt"))
     write_csv(os.path.join(outdir, "distributions.csv"),
@@ -724,6 +724,12 @@ def main(argv=None) -> int:
     except MmdesignError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except OSError as e:  # inputs that cannot be read raise MmdesignError
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return ConfigurationError.exit_code
+    except MemoryError as e:
+        print(f"error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
+        return NumericalError.exit_code
 
 
 if __name__ == "__main__":

@@ -489,56 +489,38 @@ def min_re(d: Design, grid: ParamGrid, table: LocalOptTable, tr: float,
 # permutation-image ratios (efficiency lower bound for the reduced region)
 # ---------------------------------------------------------------------------
 
-def _rg_directions(q: int, phi_step: float):
-    """The reduced region and its signed images under each other labeling."""
+def rg_directions(q: int, phi_step: float) -> dict[tuple[int, ...], tuple]:
+    """Each labeling, identity first, mapped to the signed images of the
+    reduced region at `phi_step` under it (the identity's are the region)."""
     base = theta0_grid(q, phi_step)
-    return base, {sg: tuple(signed_image(th, sg) for th in base) for sg in label_permutations(q)}
+    return {tuple(range(1, q + 1)): base,
+            **{sg: tuple(signed_image(th, sg) for th in base) for sg in label_permutations(q)}}
 
 
 def with_rg_directions(thetas, q: int, phi_step: float) -> DirectionBlocks:
     """`thetas`, then in a block of their own the directions R_g scores (the
     reduced region at `phi_step` and its images) not among them, each once."""
-    base, images = _rg_directions(q, phi_step)
     known = set(thetas)
     return DirectionBlocks(thetas, dict.fromkeys(
-        th for th in itertools.chain(base, *images.values()) if th not in known))
-
-
-def _rg_ratios(d: Design, ps, tr: float, noise: NoiseSpec, drift: DriftSpec,
-               phi_step: float, scored=None) -> dict[tuple[int, ...], float] | None:
-    """R_g ratios of `d`, None where the reduced region's worst case is 0,
-    from the rows of `scored` = (thetas, `Evaluator.phi_a_grid(d, thetas,
-    ps)`) picked by direction; by default thetas = `with_rg_directions((), ...)`."""
-    q = d.q_types
-    if scored is None:
-        thetas = with_rg_directions((), q, phi_step)
-        scored = thetas, evaluator_for(d, tr, noise, drift).phi_a_grid(d, thetas, ps)
-    thetas, values = scored
-    row = {th: i for i, th in enumerate(thetas)}
-    base, images = _rg_directions(q, phi_step)
-    base_min, *image_mins = (float(values[[row[th] for th in directions]].min())
-                             for directions in (base, *images.values()))
-    return dict(zip(images, (m / base_min for m in image_mins))) if base_min > 0 else None
-
-
-def rg_ratios(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
-              drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP
-              ) -> dict[tuple[int, ...], float]:
-    """Per-permutation ratio of the worst case over the image of the reduced
-    region to the worst case over the reduced region itself; raises
-    ConfigurationError when the design is singular somewhere on the region."""
-    ratios = _rg_ratios(d, ps, tr, noise, drift, phi_step) if d.q_types >= 2 else {}
-    if ratios is None:
-        raise ConfigurationError("design is singular somewhere on the reduced region")
-    return ratios
+        th for th in itertools.chain(*rg_directions(q, phi_step).values()) if th not in known))
 
 
 def min_rg(d: Design, ps: tuple[HrfParams, ...], tr: float, noise: NoiseSpec,
            drift: DriftSpec, phi_step: float = COMPARISON_PHI_STEP,
            scored: tuple | None = None) -> float | None:
-    """Efficiency lower bound: smallest permutation-image ratio, floored at 1;
-    None where the ratios are undefined.  `scored` is as for `_rg_ratios`."""
-    if d.q_types < 2:
+    """Efficiency lower bound: the smallest ratio of the worst case over a
+    permutation image of the reduced region to the worst case over the region
+    itself, capped at 1; None where the region's worst case is 0.  Values
+    come from the rows of `scored` = (thetas, `Evaluator.phi_a_grid(d, thetas,
+    ps)`) picked by direction; by default thetas = `with_rg_directions((), ...)`."""
+    q = d.q_types
+    if q < 2:
         return 1.0
-    ratios = _rg_ratios(d, ps, tr, noise, drift, phi_step, scored)
-    return None if ratios is None else min(1.0, min(ratios.values()))
+    if scored is None:
+        thetas = with_rg_directions((), q, phi_step)
+        scored = thetas, evaluator_for(d, tr, noise, drift).phi_a_grid(d, thetas, ps)
+    thetas, values = scored
+    row = {th: i for i, th in enumerate(thetas)}
+    base_min, *image_mins = (float(values[[row[th] for th in directions]].min())
+                             for directions in rg_directions(q, phi_step).values())
+    return min(1.0, min(m / base_min for m in image_mins)) if base_min > 0 else None

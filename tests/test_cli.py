@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import mmdesign
 
+from mmdesign import cli
 from mmdesign.cli import ExperimentConfig, grid_header, main, write_csv
 from mmdesign.criteria import (LocalOptTable, make_grid, min_phi_a, min_re, min_rg, p_grid,
                                theta_to_angles)
@@ -292,12 +293,12 @@ def test_exit_code_bad_config(tmp_path, capsys):
     assert main(["evaluate", design, "--config", str(notjson)]) == 2
 
 
-def run_cli(args):
+def run_cli(args, cwd=None):
     """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(mmdesign.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "mmdesign.cli", *args], env=env,
+    proc = subprocess.run([sys.executable, "-m", "mmdesign.cli", *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr
 
@@ -491,6 +492,57 @@ def test_exit_code_one_seed_commands_reject_more(tmp_path, command, through):
     assert_clean_exit(result, 2)
     assert result[1].strip() == f"error: {command[0]} takes one seed (got [3, 4])"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["", "."])
+def test_exit_code_generate_unwritable_output(tmp_path, output):
+    result = run_cli(["generate", "random", "--length", "12", "-o", output], cwd=tmp_path)
+    assert_clean_exit(result, 2)
+    assert result[1].startswith("error: cannot write output: ")
+    assert os.listdir(tmp_path) == []
+
+
+OUT_COMMANDS = {"evaluate": ["d.txt"], "compare": ["d.txt", "--rg"], "search-maximin": [],
+                "search-mme": ["--table", "table.json"], "build-table": [], "example-miezin": []}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_exit_code_output_directory_is_a_file(tmp_path, monkeypatch, command):
+    # the output directory is made before any scoring or search starts, so
+    # an --out naming a regular file ends the command at once with one line
+    cfg_path = write_config(tmp_path, q_types=2)
+    write_design(tmp_path, [1, 0, 2] * 4, "d.txt")
+    make_tiny_table(tmp_path, cfg_path)
+    taken = tmp_path / "taken"
+    taken.write_text("x\n", encoding="utf-8")
+    args = [command, *(str(tmp_path / a) if "." in a else a for a in OUT_COMMANDS[command]),
+            "--config", cfg_path, "--out", str(taken)]
+    result = run_cli(args)
+    assert_clean_exit(result, 2)
+    assert result[1].startswith("error: cannot write output: ") and str(taken) in result[1]
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was made")
+
+    for name in ("_score", "ga_search", "build_local_opt_table"):
+        monkeypatch.setattr(cli, name, work)
+    assert main(args) == 2
+    assert taken.read_text(encoding="utf-8") == "x\n"
+
+
+def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
+    # a height grid too fine for memory (e.g. --isi 0.001 --tr 0.002) fails
+    # while allocating the Gram tables; the allocation is only simulated here
+    def exhausted(self):
+        raise MemoryError("Unable to allocate 22.9 GiB for an array with shape "
+                          "(3, 32001, 32001) and data type float64")
+
+    monkeypatch.setattr(Evaluator, "_gram_tables", property(exhausted))
+    design = write_design(tmp_path, [1, 0] * 6)
+    assert main(["evaluate", design, "--config", write_config(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 22.9 GiB for an array with "
+                   "shape (3, 32001, 32001) and data type float64\n")
 
 
 def test_exit_code_config_seed_and_size(tmp_path):
@@ -810,16 +862,19 @@ def grid_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", ["theta0", "table", "full"])
-def test_compare_rg_scores_each_design_once(tmp_path, grid_calls, case):
+@pytest.mark.parametrize("q, case", [
+    pytest.param(q, case, id=case if q == 2 else f"q{q}-{case}")
+    for q in (2, 3) for case in ("theta0", "table", "full")])
+def test_compare_rg_scores_each_design_once(tmp_path, grid_calls, q, case):
     # one grid pass per design covers the report grid (with the zero
-    # direction first when a table is given) and the R_g directions; the
-    # reported values are the library's, bit for bit
-    cfg_path = write_config(tmp_path, q_types=2, length=12,
+    # direction first when a table is given) and the R_g directions, in
+    # their own block of directions for Q=3; the reported values are the
+    # library's, bit for bit
+    cfg_path = write_config(tmp_path, q_types=q, length=12,
                             **({"region": "full"} if case == "full" else {}))
     cfg = ExperimentConfig.load(cfg_path)
     table_path = make_tiny_table(tmp_path, cfg_path) if case == "table" else None
-    paths = [write_design(tmp_path, random_design(2, 12, 4.0, seed=s).labels, f"d{s}.txt")
+    paths = [write_design(tmp_path, random_design(q, 12, 4.0, seed=s).labels, f"d{s}.txt")
              for s in (21, 22)]
     grid_calls.clear()
     assert main(["compare", *paths, "--config", cfg_path, "--rg",
@@ -833,15 +888,16 @@ def test_compare_rg_scores_each_design_once(tmp_path, grid_calls, case):
         rows = list(csv.DictReader(fh))
     args = (cfg.tr, cfg.noise(), cfg.drift())
     for path, entry in zip(paths, entries):
-        d = load_design(path, q_types=2, isi=cfg.isi)
+        d = load_design(path, q_types=q, isi=cfg.isi)
         values = cfg.evaluator().phi_a_grid(d, grid.thetas, grid.ps)
         assert ([r["phi_a"] for r in rows if r["design"] == entry["design"]]
                 == [fmt_float(v) for v in values.ravel()])
         assert entry["min_phi_a"]["value"] == min_phi_a(d, grid, *args).value
         assert entry["mean_phi_a"] == float(values.mean())
         if table_path:
-            table = LocalOptTable.load(table_path, q_types=2, isi=cfg.isi)
+            table = LocalOptTable.load(table_path, q_types=q, isi=cfg.isi)
             assert entry["min_re"]["value"] == min_re(d, grid, table, *args).value
+        assert entry["min_rg"] is not None
         assert entry["min_rg"] == min_rg(d, grid.ps, *args, phi_step=cfg.phi_step)
 
 

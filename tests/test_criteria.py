@@ -24,7 +24,7 @@ from mmdesign.criteria import (
     p_grid,
     perm_matrix,
     relative_efficiency,
-    rg_ratios,
+    rg_directions,
     signed_image,
     theta0_grid,
     theta_to_angles,
@@ -424,23 +424,37 @@ PS_COARSE = tuple(p_grid(1.0))
 
 def test_rg_trivial_for_single_type():
     d = random_design(1, 24, 4.0, seed=37)
-    assert rg_ratios(d, PS_COARSE, 2.0, NOISE, DRIFT) == {}
     assert min_rg(d, PS_COARSE, 2.0, NOISE, DRIFT) == 1.0
 
 
-def test_rg_ratios_match_direct_computation():
-    d = random_design(2, 24, 4.0, seed=38)
+def test_rg_directions_are_the_region_then_its_images():
+    for q, step in ((2, 0.25 * math.pi), (3, 0.25 * math.pi), (3, 0.1 * math.pi)):
+        base = theta0_grid(q, step)
+        directions = rg_directions(q, step)
+        assert list(directions) == label_permutations(q, include_identity=True)
+        sigmas = iter(directions)
+        assert directions[next(sigmas)] == base
+        for sigma in sigmas:
+            assert directions[sigma] == tuple(signed_image(th, sigma) for th in base)
+
+
+def test_min_rg_matches_direct_computation():
+    # the bound against base and image minima taken directly, for every
+    # labeling; each design has a ratio below 1, so the cap at 1 hides nothing
     step = 0.25 * math.pi
-    ratios = rg_ratios(d, PS_COARSE, 2.0, NOISE, DRIFT, phi_step=step)
-    assert set(ratios) == {(2, 1)}
-    ev = evaluator_for(d, 2.0, NOISE, DRIFT)
-    base = theta0_grid(2, step)
-    base_min = ev.phi_a_grid(d, base, PS_COARSE).min()
-    img = tuple(signed_image(th, (2, 1)) for th in base)
-    img_min = ev.phi_a_grid(d, img, PS_COARSE).min()
-    assert ratios[(2, 1)] == pytest.approx(img_min / base_min, rel=1e-12)
-    got = min_rg(d, PS_COARSE, 2.0, NOISE, DRIFT, phi_step=step)
-    assert got == min(1.0, ratios[(2, 1)])
+    for d in (relabel(random_design(2, 24, 4.0, seed=40), (2, 1)),
+              random_design(3, 24, 4.0, seed=41)):
+        q = d.q_types
+        ev = evaluator_for(d, 2.0, NOISE, DRIFT)
+        base = theta0_grid(q, step)
+        base_min = ev.phi_a_grid(d, base, PS_COARSE).min()
+        assert base_min > 0
+        ratios = [ev.phi_a_grid(d, tuple(signed_image(th, sigma) for th in base),
+                                PS_COARSE).min() / base_min
+                  for sigma in label_permutations(q)]
+        assert len(ratios) == math.factorial(q) - 1 and min(ratios) < 1
+        got = min_rg(d, PS_COARSE, 2.0, NOISE, DRIFT, phi_step=step)
+        assert got == pytest.approx(min(1.0, *ratios), rel=1e-12)
 
 
 def test_rg_union_minimum_invariant_under_relabeling():
@@ -465,6 +479,4 @@ def test_rg_union_minimum_invariant_under_relabeling():
 
 def test_rg_rejects_singular_design():
     d = Design(labels=(0,) * 24, q_types=2, isi=4.0)
-    with pytest.raises(ConfigurationError):
-        rg_ratios(d, PS_COARSE, 2.0, NOISE, DRIFT)
     assert min_rg(d, PS_COARSE, 2.0, NOISE, DRIFT) is None  # the bound is undefined
