@@ -30,6 +30,11 @@ L'L over each block of directions theta.  A closed-form 2 x 2 pseudo-inverse
 F = (L'L)^- L'E gives the Schur complement M_ab = (E'E)_ab - (E'L)_a F_b one
 entry at a time, each an (n_theta, n_p) array; Q <= 2 takes 1/trace(M^{-1})
 in closed form from the entries, Q >= 3 stacks them for an eigenvalue solve.
+A batch of L'L blocks with t > 0 and det > 2 r t^2 (t the trace, r the
+rank-one cutoff) is full rank, as lmin/lmax >= det/t^2, so skips the
+eigenvalues that find rank-one blocks.  A Q = 2 batch of M with t > 0 and
+det > 2 RCOND_SINGULAR t^2 is nonsingular and skips them too, with the same
+values.
 `hrf.hrf_bundle` builds a grid's HRF bundles in one vectorized pass and
 caches them by value; the evaluator keeps the last grid's transposed copy.
 
@@ -184,7 +189,7 @@ class Evaluator:
         s = drift_matrix(_scan_index(n_slots, isi, tr)[2], drift.order)
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
-        self._recent_stack: tuple = (None, None)
+        self._recent_stack = self._recent_thetas = (None, None)
         self._recent_point: tuple = (None, None, None)
 
     # -- drift removal -----------------------------------------------------
@@ -274,13 +279,20 @@ class Evaluator:
         return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
     def _thetas(self, thetas) -> np.ndarray:
-        """The directions as a finite (n, Q) array."""
+        """The directions as a finite (n, Q) array; the last tuple of tuples'
+        array is kept read-only, found by identity, as one pair threads replace whole."""
+        recent_thetas, recent = self._recent_thetas
+        if recent_thetas is thetas:
+            return recent
         th = np.asarray(list(thetas), dtype=float)
         th = th.reshape(0, self.q_types) if th.size == 0 else th
         if th.ndim != 2 or th.shape[1] != self.q_types:
             raise ConfigurationError(f"thetas must be (n, {self.q_types}) (got {th.shape})")
         if not np.isfinite(th).all():
             raise ConfigurationError("thetas must be finite")
+        if isinstance(thetas, tuple) and all(isinstance(t, tuple) for t in thetas):
+            th.setflags(write=False)
+            self._recent_thetas = (thetas, th)
         return th
 
     # -- one-point route ----------------------------------------------------
@@ -404,12 +416,17 @@ def _eig_sym2(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _pinv_sym2_batch(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries (i00, i01, i11) of the Moore-Penrose inverse of symmetric PSD
     2x2 [[a, b], [b, c]] batches; a, b, c may have any common shape."""
+    # lmin/lmax >= det/t^2 (t = a + c > 0): a batch this proves full rank, with
+    # a margin of 2 for rounding, takes the full-rank branch below, bit for bit
+    t, det = a + c, a * c - b * b
+    if ((det > 2 * LL_RANK_ONE_RATIO * t * t) & (t > 0)).all():
+        return c / det, -b / det, a / det
     _, lmax, lmin = _eig_sym2(a, b, c)
     full = lmin > LL_RANK_ONE_RATIO * lmax
     # rank-one fallback: M/lmax^2 approximates the truncated inverse; an
     # all-zero block divides by infinity and gets a zero inverse
     rank1 = (~full) & (lmax > 0)
-    den = np.where(full, a * c - b * b, np.where(rank1, lmax ** 2, np.inf))
+    den = np.where(full, det, np.where(rank1, lmax ** 2, np.inf))
     return np.where(full, c, a) / den, np.where(full, -b, b) / den, np.where(full, a, c) / den
 
 
@@ -446,10 +463,12 @@ def _phi_batch(m) -> np.ndarray:
     q = len(m)
     if q == 1:
         return np.where(m[0][0] > 0.0, m[0][0], 0.0)
-    if q == 2:
+    if q == 2:  # lmin/lmax >= det/t^2 proves a batch nonsingular, as above
         a, b, c = m[0][0], m[0][1], m[1][1]
-        t, lmax, lmin = _eig_sym2(a, b, c)
-        det = a * c - b * b
+        t, det = a + c, a * c - b * b
+        if ((det > 2 * RCOND_SINGULAR * t * t) & (t > 0)).all():
+            return det / t
+        _, lmax, lmin = _eig_sym2(a, b, c)
         ok = (lmax > 0) & (lmin > RCOND_SINGULAR * lmax)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(ok, det / t, 0.0)

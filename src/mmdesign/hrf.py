@@ -84,18 +84,11 @@ def gamma_pdf(x, alpha, beta: float):
     return vals
 
 
-def g_raw(t, p: HrfParams):
-    """Unnormalized double-gamma curve at time(s) t."""
-    return _g_raw_floats(t, p.p1, p.p6)
-
-
 def _g_raw_floats(t, p1, p6):
-    """g_raw from floats; p1 and p6 may be arrays that broadcast against t."""
+    """Unnormalized double-gamma curve at time(s) t, for time-to-peak p1 and
+    onset delay p6; p1 and p6 may be arrays that broadcast against t."""
     x = np.asarray(t, dtype=float) - p6
-    vals = gamma_pdf(x, p1 / P3, P3) - P5 * gamma_pdf(x, P2 / P4, P4)
-    if np.ndim(vals) == 0:
-        return float(vals)
-    return vals
+    return gamma_pdf(x, p1 / P3, P3) - P5 * gamma_pdf(x, P2 / P4, P4)
 
 
 @lru_cache(maxsize=4096)
@@ -136,16 +129,6 @@ def _norm_info(p1s: tuple[float, ...]) -> np.ndarray:
         raise NumericalError(f"HRF normalization failed: nonpositive max for p1 in {p1s}")
     c.setflags(write=False)
     return c
-
-
-def normalizing_max(p: HrfParams) -> float:
-    """Denominator used by g_normalized (independent of p6)."""
-    return float(_norm_info((p.p1,))[0])
-
-
-def g_normalized(t, p: HrfParams):
-    """Double-gamma curve scaled so its maximum over the window is one."""
-    return g_raw(t, p) / normalizing_max(p)
 
 
 def default_hrf_length(delta_t: float) -> int:

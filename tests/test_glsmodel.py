@@ -23,6 +23,7 @@ from mmdesign.glsmodel import (
     NoiseSpec,
     _eig_sym2,
     _pinv_sym2,
+    _phi_batch,
     _pinv_sym2_batch,
     _point_info,
     drift_matrix,
@@ -32,8 +33,9 @@ from mmdesign.glsmodel import (
     projection,
     whitening_matrix,
 )
-from mmdesign.hrf import HrfParams, g_normalized
+from mmdesign.hrf import HrfParams
 
+from hrf_curves import g_normalized
 from reference import (
     ref_design_blocks,
     ref_drift_raw,
@@ -396,7 +398,10 @@ def test_information_dominated_by_gram_of_e(q, seed, runs, p1, p6, zero):
 
 
 def _sym2_blocks(kind, n, rng):
-    """n symmetric PSD 2x2 blocks (a, b, c) of one kind, as float arrays."""
+    """n symmetric 2x2 blocks (a, b, c) of one kind, as float arrays, PSD
+    but for the negated ones: rounding can leave a nearly zero L'L so."""
+    if kind == "negative-definite":
+        return tuple(-x for x in _sym2_blocks("psd", n, rng))
     if kind == "psd":
         x = rng.normal(size=(n, 5, 2)) * np.exp(rng.normal(size=(n, 1, 2)))
         g = np.einsum("nki,nkj->nij", x, x)
@@ -406,21 +411,28 @@ def _sym2_blocks(kind, n, rng):
         return u * u, u * v, v * v
     if kind == "zero":
         return np.zeros(n), np.zeros(n), np.zeros(n)
-    # eigenvalue ratio within a factor 2 of the rank-one cutoff, on both
-    # sides, with off-diagonals of both signs
+    # eigenvalue ratio within a factor 2 of the rank-one cutoff, or within a
+    # factor 4 of twice it, where the full-rank certificate det/t^2 > 2 cutoff
+    # changes its verdict; on both sides, with off-diagonals of both signs
+    ratio, spread = {"near-rank-one": (LL_RANK_ONE_RATIO, 2.0),
+                     "near-certificate": (2 * LL_RANK_ONE_RATIO, 4.0)}[kind]
     lmax = np.exp(3 * rng.normal(size=n))
-    lmin = lmax * LL_RANK_ONE_RATIO * np.exp(rng.uniform(-math.log(2), math.log(2), n))
+    lmin = lmax * ratio * np.exp(rng.uniform(-math.log(spread), math.log(spread), n))
     phi = rng.uniform(-math.pi, math.pi, n)
     cs, sn = np.cos(phi), np.sin(phi)
     return (lmax * cs * cs + lmin * sn * sn, (lmax - lmin) * cs * sn,
             lmax * sn * sn + lmin * cs * cs)
 
 
-@pytest.mark.parametrize("kind", ["psd", "rank-one", "near-rank-one", "zero"])
+SYM2_KINDS = ["psd", "rank-one", "near-rank-one", "zero", "near-certificate",
+              "negative-definite"]
+
+
+@pytest.mark.parametrize("kind", SYM2_KINDS)
 def test_pinv_sym2_is_the_batch_form_on_one_block(kind):
     # the one-point route's float twin must repeat the batch form bit for bit
     # on the numpy scalars it replaced, or table.json would move
-    rng = np.random.default_rng(["psd", "rank-one", "near-rank-one", "zero"].index(kind))
+    rng = np.random.default_rng(SYM2_KINDS.index(kind))
     a, b, c = _sym2_blocks(kind, 20_000, rng)
     for ai, bi, ci in zip(a, b, c):  # numpy scalars
         want = _pinv_sym2_batch(ai, bi, ci)
@@ -452,6 +464,65 @@ def test_pinv_sym2_batch_is_the_one_block_form_on_whole_batches():
             batch = np.array(_pinv_sym2_batch(a, b, c))
             one = np.array([_pinv_sym2(*map(float, abc)) for abc in zip(a, b, c)]).T
         assert batch.tobytes() == one.tobytes()
+
+
+def _certified(ratio, a, b, c):
+    """Which blocks the trace and determinant test proves far from singular."""
+    t = a + c
+    return (a * c - b * b > 2 * ratio * t * t) & (t > 0)
+
+
+def test_pinv_sym2_batch_certificate_never_changes_a_value():
+    # a batch the certificate proves full rank skips the eigenvalues; one it
+    # does not takes the general form.  Every block must come out with the
+    # same bytes either way: alone (certified where it can be) and inside a
+    # mixed batch that is not certified as a whole
+    rng = np.random.default_rng(21)
+    blocks = [np.concatenate(x) for x in zip(*(_sym2_blocks(kind, 400, rng)
+                                               for kind in SYM2_KINDS))]
+    k = SYM2_KINDS.index("near-certificate")
+    near = _certified(LL_RANK_ONE_RATIO, *blocks)[400 * k:400 * (k + 1)]
+    assert 0 < near.sum() < len(near)  # both sides of the threshold drawn
+    assert not _certified(LL_RANK_ONE_RATIO, *blocks).all()
+    mixed = np.array(_pinv_sym2_batch(*blocks))
+    for i in range(len(blocks[0])):
+        alone = np.array(_pinv_sym2_batch(*(x[i:i + 1] for x in blocks)))
+        assert alone.tobytes() == mixed[:, i:i + 1].tobytes(), i
+    # a certified batch is all full-rank: the general form's branch for it
+    full = _certified(LL_RANK_ONE_RATIO, *blocks)
+    _, lmax, lmin = _eig_sym2(*blocks)
+    assert np.all(lmin[full] > LL_RANK_ONE_RATIO * lmax[full])
+    whole = np.array(_pinv_sym2_batch(*(x[full] for x in blocks)))
+    assert whole.tobytes() == mixed[:, full].tobytes()
+
+
+def test_phi_batch_q2_certificate_never_changes_a_value():
+    # Q=2 M drawn as in test_phi_from_info_nearly_singular, with its
+    # eigenvalue ratio within a factor 4 of the certificate's 2 RCOND_SINGULAR
+    # on both sides, plus a few singular, indefinite and negative definite ones
+    rng = np.random.default_rng(22)
+    n = 2000
+    angle = rng.uniform(-math.pi, math.pi, n)
+    cs, sn = np.cos(angle), np.sin(angle)
+    lmax = 10.0 ** rng.uniform(-3.0, 6.0, n)
+    lmin = lmax * 2 * RCOND_SINGULAR * np.exp(rng.uniform(-math.log(4), math.log(4), n))
+    lmin[:20] = 0.0
+    lmin[20:40] *= -1.0
+    lmin[40:60], lmax[40:60] = -lmax[40:60], -lmin[40:60]
+    a, b, c = (lmax * cs * cs + lmin * sn * sn, (lmax - lmin) * cs * sn,
+               lmax * sn * sn + lmin * cs * cs)
+    near = _certified(RCOND_SINGULAR, a, b, c)
+    assert 0 < near.sum() < n  # both sides of the threshold drawn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixed = _phi_batch([[a, b], [b, c]])
+    assert np.any(mixed[~near] > 0.0) and np.any(mixed[~near] == 0.0)
+    for i in range(n):
+        one = [x[i:i + 1] for x in (a, b, c)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alone = _phi_batch([one[:2], one[1:]])
+        assert alone.tobytes() == mixed[i:i + 1].tobytes(), i
+    whole = _phi_batch([[a[near], b[near]], [b[near], c[near]]])
+    assert whole.tobytes() == mixed[near].tobytes()
 
 
 @given(q=st.integers(1, 2), seed=st.integers(0, 10 ** 6))
@@ -552,24 +623,55 @@ def test_non_finite_theta_rejected(theta):
             call()
 
 
+def test_kept_directions_never_go_stale():
+    # the last tuple of tuples' array is kept by identity; anything that could
+    # have changed since, or was never validated, is read again
+    ev = make_eval(q=2, length=40)
+    grid = ((0.6, 0.8), (1.0, 0.0))
+    first = ev._thetas(grid)
+    assert ev._thetas(grid) is first and not first.flags.writeable
+    assert np.array_equal(ev._thetas(tuple(map(tuple, first))), first)
+    listed = [[0.6, 0.8], [1.0, 0.0]]
+    assert np.array_equal(ev._thetas(listed), first)
+    listed[0][0] = 0.3
+    assert ev._thetas(listed)[0, 0] == 0.3
+    rows = ([0.6, 0.8], [1.0, 0.0])  # a tuple, but of mutable rows
+    ev._thetas(rows)
+    rows[0][0] = 0.3
+    assert ev._thetas(rows)[0, 0] == 0.3
+    bad = ((0.6, 0.8), (math.nan, 1.0))
+    for _ in range(3):
+        with pytest.raises(ConfigurationError, match="thetas must be finite"):
+            ev._thetas(bad)
+    # whole grids, each returned to after another
+    d = random_design(2, 40, 4.0, seed=8)
+    ps = (HrfParams(6.0, 0.0), HrfParams(8.0, 1.5))
+    grid_b = ((0.0, 1.0), (0.6, -0.8), (0.8, 0.6))
+    want = ev.phi_a_grid(d, grid, ps)
+    other = ev.phi_a_grid(d, grid_b, ps)
+    assert other.shape == (3, 2)
+    assert ev.phi_a_grid(d, grid, ps).tobytes() == want.tobytes()
+
+
 def test_stacked_bundles_shared_by_threads():
-    # one evaluator scores 12 grids of 1-3 p points, and one point of each,
-    # from 8 threads that switch as often as the interpreter allows: every
-    # result must be its serial value, whichever grid or point the kept
-    # bundles and weights belong to
+    # one evaluator scores 12 grids of 1-4 directions and 1-3 p points, and
+    # one point of each, from 8 threads that switch as often as the
+    # interpreter allows: every result must be its serial value, whichever
+    # grid or point the kept directions, bundles and weights belong to
     d = random_design(1, 9, 4.0, seed=60)
-    thetas = [(1.0,)]
-    grids = [tuple(HrfParams(6.0 + 0.25 * k + 0.1 * j, 0.5) for j in range(1 + k % 3))
+    grids = [(tuple((1.0 - 0.2 * j,) for j in range(1 + k % 4)),
+              tuple(HrfParams(6.0 + 0.25 * k + 0.1 * j, 0.5) for j in range(1 + k % 3)))
              for k in range(12)]
-    want = [make_eval().phi_a_grid(d, thetas, ps) for ps in grids]
-    want_point = [make_eval().phi_a(d, thetas[0], ps[0]) for ps in grids]
+    want = [make_eval().phi_a_grid(d, thetas, ps) for thetas, ps in grids]
+    want_point = [make_eval().phi_a(d, thetas[-1], ps[0]) for thetas, ps in grids]
     ev = make_eval()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [(pool.submit(ev.phi_a_grid, d, thetas, grids[k % len(grids)]),
-                        pool.submit(ev.phi_a, d, thetas[0], grids[k % len(grids)][0]))
+            futures = [(pool.submit(ev.phi_a_grid, d, *grids[k % len(grids)]),
+                        pool.submit(ev.phi_a, d, grids[k % len(grids)][0][-1],
+                                    grids[k % len(grids)][1][0]))
                        for k in range(4000)]
             got = [f.result(timeout=60) for f, _ in futures]
             got_point = [f.result(timeout=60) for _, f in futures]

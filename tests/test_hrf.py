@@ -15,13 +15,11 @@ from mmdesign.hrf import (
     HrfParams,
     _norm_info,
     default_hrf_length,
-    g_normalized,
-    g_raw,
     gamma_pdf,
     hrf_bundle,
-    normalizing_max,
 )
 
+from hrf_curves import g_normalized, g_raw, normalizing_max
 from reference import ref_hrf, ref_hrf_partial
 
 
