@@ -17,14 +17,11 @@ def run(argv=None):
     ap.add_argument("--out", default="results/single_type_maximin")
     ap.add_argument("--budget", type=int, default=10_000)
     ap.add_argument("--n-seeds", type=int, default=10)
-    ap.add_argument("--threads", type=int)
     args = ap.parse_args(argv)
 
     cli = ["search-maximin", "--out", args.out, "--budget", str(args.budget)]
     for seed in range(args.n_seeds):
         cli += ["--seed", str(seed)]
-    if args.threads is not None:
-        cli += ["--threads", str(args.threads)]
     return main(cli)
 
 

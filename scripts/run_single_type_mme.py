@@ -22,21 +22,19 @@ def run(argv=None):
                     help="fitness evaluations per grid point")
     ap.add_argument("--budget", type=int, default=10_000)
     ap.add_argument("--n-seeds", type=int, default=10)
-    ap.add_argument("--threads", type=int)
     args = ap.parse_args(argv)
 
-    threads = ["--threads", str(args.threads)] if args.threads is not None else []
     table = args.table
     if table is None:
         table_out = os.path.join(args.out, "table")
         rc = main(["build-table", "--out", table_out, "--seed", "101",
-                   "--budget", str(args.table_budget)] + threads)
+                   "--budget", str(args.table_budget)])
         if rc != 0:
             return rc
         table = os.path.join(table_out, "table.json")
 
     cli = ["search-mme", "--out", args.out, "--table", table,
-           "--budget", str(args.budget)] + threads
+           "--budget", str(args.budget)]
     for seed in range(args.n_seeds):
         cli += ["--seed", str(seed)]
     return main(cli)

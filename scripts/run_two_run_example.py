@@ -20,15 +20,12 @@ def run(argv=None):
     ap.add_argument("--budget", type=int, default=10_000)
     ap.add_argument("--n-seeds", type=int, default=3)
     ap.add_argument("--n-random", type=int, default=100)
-    ap.add_argument("--threads", type=int)
     args = ap.parse_args(argv)
 
     cli = ["example-miezin", "--out", args.out, "--budget", str(args.budget),
            "--n-random", str(args.n_random)]
     for seed in range(args.n_seeds):
         cli += ["--seed", str(seed)]
-    if args.threads is not None:
-        cli += ["--threads", str(args.threads)]
     return main(cli)
 
 

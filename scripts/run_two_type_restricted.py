@@ -19,14 +19,11 @@ def run(argv=None):
     ap.add_argument("--out", default="results/two_type_restricted")
     ap.add_argument("--budget", type=int, default=10_000)
     ap.add_argument("--n-seeds", type=int, default=10)
-    ap.add_argument("--threads", type=int)
     args = ap.parse_args(argv)
 
     common = ["--q", "2", "--length", "242", "--budget", str(args.budget)]
     for seed in range(args.n_seeds):
         common += ["--seed", str(seed)]
-    if args.threads is not None:
-        common += ["--threads", str(args.threads)]
 
     rc = main(["search-maximin", "--space", "xi",
                "--out", os.path.join(args.out, "full_space")] + common)

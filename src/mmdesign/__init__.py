@@ -14,9 +14,9 @@ from .designs import (Design, block_design, constrained_random, cyclic_design,
                       find_primitive_poly, load_design, m_sequence,
                       m_sequence_design, random_design, relabel, save_design)
 from .criteria import (LocalOptTable, ParamGrid, angles_to_theta,
-                       full_theta_grid, make_grid, min_phi_a, min_re, min_rg,
-                       p_grid, relative_efficiency, theta_to_angles,
-                       theta0_grid, zero_theta)
+                       full_theta_grid, make_grid, min_re, min_rg, p_grid,
+                       relative_efficiency, theta_to_angles, theta0_grid,
+                       zero_theta)
 from .errors import (ConfigurationError, GenerationError, InputParseError,
                      MmdesignError, NumericalError, SamplingError,
                      TableFormatError, TableLookupError)
@@ -34,7 +34,7 @@ __all__ = [
     "design_matrix", "extend_m_sequence", "find_primitive_poly", "load_design",
     "m_sequence", "m_sequence_design", "random_design", "relabel", "save_design",
     "LocalOptTable", "ParamGrid", "angles_to_theta", "full_theta_grid",
-    "make_grid", "min_phi_a", "min_re", "min_rg", "p_grid",
+    "make_grid", "min_re", "min_rg", "p_grid",
     "relative_efficiency", "theta_to_angles", "theta0_grid", "zero_theta",
     "ConfigurationError", "GenerationError", "InputParseError", "MmdesignError",
     "NumericalError", "SamplingError", "TableFormatError", "TableLookupError",

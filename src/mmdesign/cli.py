@@ -27,9 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import (LocalOptTable, MinResult, ParamGrid, make_grid,
-                       min_phi_a, min_re, min_rg, theta_to_angles, with_rg_directions,
-                       worst_case)
+from .criteria import (LocalOptTable, MinResult, ParamGrid, make_grid, min_rg,
+                       theta_to_angles, with_rg_directions, worst_case)
 from .designs import (Design, block_design, constrained_random, cyclic_design,
                       extend_m_sequence, load_design, m_sequence,
                       m_sequence_design, m_sequence_params, random_design,
@@ -39,8 +38,7 @@ from .errors import (ConfigurationError, InputParseError, MmdesignError,
 from .glsmodel import DEFAULT_RUN_SHIFT, DriftSpec, NoiseSpec, get_evaluator
 from .search import (GaConfig, SearchResult, ga_search, maximin_objective,
                      mme_objective, build_local_opt_table)
-from .util import (fmt_float, is_finite_number, mean_and_stderr, parallel_map,
-                   resolve_threads)
+from .util import fmt_float, is_finite_number, mean_and_stderr, resolve_threads
 
 _GA_FIELDS = {"population_size", "max_evaluations", "crossover_pairs", "mutation_rate",
               "immigrant_count"}
@@ -226,12 +224,13 @@ def write_csv(path: str, header: list[str], grid: ParamGrid, blocks) -> None:
 
 
 class _RunClock:
-    """Worker count (`--threads`, else 1), start time and clocks of one command,
-    taken once its configuration is resolved; `lap` ends a stage, and `finish`
-    ends the last, "write", and writes clocks and stages to run_meta.json."""
+    """Start time and clocks of one command, taken once its configuration is
+    resolved and its `--threads`, where it takes one, checked; `lap` ends a
+    stage, and `finish` ends the last, "write", and writes clocks and stages
+    to run_meta.json."""
 
     def __init__(self, args) -> None:
-        self.threads = resolve_threads(getattr(args, "threads", 1))
+        resolve_threads(getattr(args, "threads", 1))
         self.started = _now_iso()
         self.t0, self.c0 = time.perf_counter(), time.process_time()
         self.last, self.stage_s = self.t0, {}
@@ -251,7 +250,6 @@ class _RunClock:
             "finished": _now_iso(),
             "wall_time_s": wall_s,
             "cpu_time_s": cpu_s,
-            "threads": self.threads,
             "stage_s": self.stage_s,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -393,9 +391,8 @@ def cmd_generate(args) -> int:
 
 def _search_and_report(cfg: ExperimentConfig, run: _RunClock, objective, report
                        ) -> tuple[list[SearchResult], list]:
-    """One search per seed, `run.threads` at a time, then `report` of each best design."""
-    results = parallel_map(lambda seed: ga_search(objective, cfg.ga_config(seed)),
-                           cfg.seeds, run.threads)
+    """One search per seed, in seed order, then `report` of each best design."""
+    results = [ga_search(objective, cfg.ga_config(seed)) for seed in cfg.seeds]
     run.lap("search")
     reports = [report(r.best_design) for r in results]
     run.lap("report")
@@ -446,14 +443,10 @@ def cmd_search_maximin(args) -> int:
     run = _RunClock(args)
     objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
     grid = cfg.make_grid("comparison")
+    rg = cfg.q_types >= 2 and cfg.region == "theta0"  # R_g as in `compare --rg`
     run.lap("setup")
-
-    def report(d: Design) -> dict:
-        if cfg.q_types >= 2 and cfg.region == "theta0":  # R_g as in `compare --rg`
-            return _score(cfg, d, grid, rg=True)[1]
-        return {"min_phi_a": min_result_dict(min_phi_a(d, grid, cfg.tr, cfg.noise(), cfg.drift()))}
-
-    return _search_command(cfg, run, objective, "min_phi_a", report, {})
+    return _search_command(cfg, run, objective, "min_phi_a",
+                           lambda d: _score(cfg, d, grid, rg=rg)[1], {})
 
 
 def cmd_search_mme(args) -> int:
@@ -464,12 +457,11 @@ def cmd_search_mme(args) -> int:
     table = _load_table(cfg.table, cfg)
     grid = cfg.make_grid("search", include_zero=True)
     objective = mme_objective(cfg.evaluator(), grid, table)
+    denom = table.denominators(grid)
     run.lap("setup")
-    return _search_command(
-        cfg, run, objective, "min_re",
-        lambda d: {"min_re": min_result_dict(min_re(d, grid, table, cfg.tr, cfg.noise(),
-                                                    cfg.drift()))},
-        {"table": cfg.table, "table_entries": len(table)})
+    return _search_command(cfg, run, objective, "min_re",
+                           lambda d: {"min_re": _score(cfg, d, grid, denom)[1]["min_re"]},
+                           {"table": cfg.table, "table_entries": len(table)})
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +488,7 @@ def cmd_build_table(args) -> int:
         if i % 25 == 0 or i == total:
             print(f"  {i}/{total} grid points", file=sys.stderr)
 
-    # points run in order whatever --threads says: each is warm-started from
-    # the previous point's winner
+    # points run in order, each warm-started from the previous point's winner
     table = build_local_opt_table(grid, ev, ga, existing=existing, progress=progress)
     run.lap("search")
     table.save(path)
@@ -645,7 +636,7 @@ _FLAGS = {
                  help="random seed (repeatable; overrides config seeds)"),
     "space": dict(choices=["xi", "xi0"], help="design space override"),
     "table": dict(help="locally optimal design table (JSON)"),
-    "threads": dict(type=int, default=1, help="seeds searched at once (default 1)"),
+    "threads": dict(type=int, default=1, help="ignored; must be at least 1 (default 1)"),
     "q": dict(type=int, help="number of stimulus types"),
     "length": dict(type=int, help="number of stimulus slots"),
     "isi": dict(type=float, help="inter-stimulus interval, seconds"),
@@ -677,13 +668,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("evaluate", cmd_evaluate, "evaluate a design file over a grid",
-                "table " + _MODEL)
+                "table q isi tr rho runs")
     p.add_argument("design", help="design file (text or JSON)")
     command("search-maximin", cmd_search_maximin, "search for a worst-case optimal design",
             "seed space threads " + _MODEL, budget="search")
     command("search-mme", cmd_search_mme,
             "search for a worst-case efficient design (needs a table)",
-            "seed space table threads " + _MODEL, budget="search")
+            "seed space table " + _MODEL, budget="search")
     command("build-table", cmd_build_table, "build or extend a locally optimal design table",
             "seed space table threads " + _MODEL, budget="grid point")
 
@@ -703,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output design file path")
 
     p = command("example-miezin", cmd_example_miezin,
-                "two-run worked example with baselines and robustness", "seed space threads",
+                "two-run worked example with baselines and robustness", "seed space",
                 budget="search")
     p.add_argument("--n-random", type=int, default=100,
                    help="number of constrained random competitors")

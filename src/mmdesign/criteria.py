@@ -332,14 +332,6 @@ def worst_case(values: np.ndarray, grid: ParamGrid) -> MinResult:
     return MinResult(value=float(flat[idx]), theta=th, p=p, index=idx)
 
 
-def min_phi_a(d: Design, grid: ParamGrid, tr: float, noise: NoiseSpec,
-              drift: DriftSpec) -> MinResult:
-    """Worst-case A-criterion value over the grid (first minimizer in grid
-    order on ties)."""
-    values = evaluator_for(d, tr, noise, drift).phi_a_grid(d, grid.thetas, grid.ps)
-    return worst_case(values, grid)
-
-
 # ---------------------------------------------------------------------------
 # local-optimum tables and relative efficiency
 # ---------------------------------------------------------------------------

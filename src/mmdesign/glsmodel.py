@@ -280,7 +280,7 @@ class Evaluator:
 
     def _thetas(self, thetas) -> np.ndarray:
         """The directions as a finite (n, Q) array; the last tuple of tuples'
-        array is kept read-only, found by identity, as one pair threads replace whole."""
+        array is kept read-only, found by identity, as one (thetas, array) pair."""
         recent_thetas, recent = self._recent_thetas
         if recent_thetas is thetas:
             return recent
@@ -312,7 +312,7 @@ class Evaluator:
     def _point_weights(self, theta, p: HrfParams) -> np.ndarray:
         """(Q, hrf_length, runs*(Q+2)) weights B, sum_q X_q B_q = [E L] per run.
         The last point's are kept, found by identity (a tuple theta is its
-        own tuple), as one (theta, p, B) triple that threads replace whole."""
+        own tuple), as one (theta, p, B) triple."""
         theta = tuple(theta)
         recent_theta, recent_p, recent = self._recent_point
         if recent_theta is theta and recent_p is p:
@@ -341,8 +341,8 @@ class Evaluator:
         transposed copy (n_s*3, hrf_length) stacking every W_s' for the
         product with the Gram matrix, and the (n_s, hrf_length, 3) view of
         `hrf_bundle`'s array for the batched product.  Only the last tuple's
-        are kept, found by identity, as one (ps, stacked) pair that threads
-        replace whole; other tuples come from `hrf_bundle`'s cache."""
+        are kept, found by identity, as one (ps, stacked) pair; other tuples
+        come from `hrf_bundle`'s cache."""
         recent_ps, recent = self._recent_stack
         if recent_ps is ps:
             return recent

@@ -1,32 +1,20 @@
-"""Small shared helpers: worker-pool plumbing and float formatting."""
+"""Small shared helpers: the `--threads` check, the finite-number test, float
+formatting, and a mean with its standard error."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigurationError
 
 
 def resolve_threads(requested: int) -> int:
-    """Checked worker count: at least one."""
+    """Checked `--threads` value: at least one.  Seeds are searched one after
+    another, so the count is read nowhere else."""
     if requested < 1:
         raise ConfigurationError(f"thread count must be >= 1 (got {requested})")
     return requested
-
-
-def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Order-preserving map over independent pure tasks.
-
-    Results are identical for any pool size.  numpy releases the GIL only
-    inside its larger array operations, and a search is mostly small ones, so
-    threads have not been measured to give a speedup.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def is_finite_number(x) -> bool:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,13 @@ import mmdesign
 
 from mmdesign import cli
 from mmdesign.cli import ExperimentConfig, grid_header, main, write_csv
-from mmdesign.criteria import (LocalOptTable, make_grid, min_phi_a, min_re, min_rg, p_grid,
-                               theta_to_angles)
+from mmdesign.criteria import (LocalOptTable, make_grid, min_re, min_rg, p_grid,
+                               theta_to_angles, worst_case)
 from mmdesign.designs import load_design, random_design
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import DriftSpec, Evaluator, NoiseSpec
-from mmdesign.util import fmt_float, mean_and_stderr, parallel_map, resolve_threads
+from mmdesign.search import ga_search
+from mmdesign.util import fmt_float, mean_and_stderr, resolve_threads
 
 
 def write_config(tmp_path, **overrides):
@@ -76,12 +78,6 @@ def test_mean_and_stderr():
     assert mean_and_stderr([5.0]) == (5.0, 0.0)
     with pytest.raises(ValueError):
         mean_and_stderr([])
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, threads=1) == [x * x for x in items]
 
 
 def test_resolve_threads():
@@ -349,8 +345,8 @@ def test_exit_code_infinite_tr(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["evaluate", "DESIGN", "--q", "1", "--length", "8", "--tr", "1e-10"],
-    ["evaluate", "DESIGN", "--q", "1", "--length", "8", "--isi", "1e-10"],
+    ["evaluate", "DESIGN", "--q", "1", "--tr", "1e-10"],
+    ["evaluate", "DESIGN", "--q", "1", "--isi", "1e-10"],
     ["search-maximin", "--q", "1", "--length", "8", "--tr", "1e-10"],
 ])
 def test_exit_code_timing_rounding_to_zero(tmp_path, args):
@@ -583,26 +579,25 @@ def test_exit_code_bad_generate_value(tmp_path, args):
 
 # the options each subcommand declares, beside --config, --out and -h
 SUBCOMMAND_FLAGS = {
-    "evaluate": "--table --q --length --isi --tr --rho --runs",
+    "evaluate": "--table --q --isi --tr --rho --runs",
     "search-maximin": "--seed --space --threads --q --length --isi --tr --rho --runs --budget",
-    "search-mme": "--seed --space --table --threads --q --length --isi --tr --rho --runs "
-                  "--budget",
+    "search-mme": "--seed --space --table --q --length --isi --tr --rho --runs --budget",
     "build-table": "--seed --space --table --threads --q --length --isi --tr --rho --runs "
                    "--budget",
     "generate": "--seed --q --length --isi --block-size --degree --zero-fraction --gap-min "
                 "--gap-max --short --output",
-    "example-miezin": "--seed --space --threads --budget --n-random",
+    "example-miezin": "--seed --space --budget --n-random",
     "compare": "--table --threads --q --length --isi --tr --rho --runs --rg",
 }
 
 # flags that once reached every subcommand whether or not it read them
 REMOVED_FLAGS = [(command, flag) for command, flags in {
-    "evaluate": "--grid --seed --space --threads",
+    "evaluate": "--grid --seed --space --threads --length",
     "search-maximin": "--grid --table",
-    "search-mme": "--grid",
+    "search-mme": "--grid --threads",
     "build-table": "--grid",
     "generate": "--grid --space --table --threads --tr --rho --runs",
-    "example-miezin": "--grid --table",
+    "example-miezin": "--grid --table --threads",
     "compare": "--grid --seed --space",
 }.items() for flag in flags.split()]
 
@@ -703,8 +698,7 @@ def test_search_maximin_outputs_and_determinism(tmp_path):
 
 
 def test_search_maximin_threads_do_not_change_result(tmp_path):
-    # with --threads 4 the three seeds' searches run side by side on one
-    # shared evaluator; the thread count lives in run_meta only
+    # --threads is checked and otherwise ignored
     cfg = write_config(tmp_path, seeds=[0, 1, 2])
     out = tmp_path / "out"
     files = ["summary.json", *(f"designs/seed_{s}.txt" for s in (0, 1, 2))]
@@ -713,6 +707,19 @@ def test_search_maximin_threads_do_not_change_result(tmp_path):
         assert main(["search-maximin", "--config", cfg, "--threads", threads]) == 0
         outputs.append([(out / f).read_bytes() for f in files])
     assert outputs[0] == outputs[1]
+
+
+def test_search_maximin_runs_seeds_in_order_on_the_calling_thread(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(objective, config):
+        calls.append((config.seed, threading.current_thread() is threading.main_thread()))
+        return ga_search(objective, config)
+
+    monkeypatch.setattr(cli, "ga_search", spy)
+    cfg = write_config(tmp_path, seeds=[5, 3, 4])
+    assert main(["search-maximin", "--config", cfg, "--threads", "2"]) == 0
+    assert calls == [(5, True), (3, True), (4, True)]
 
 
 def test_search_maximin_rg_bound_covers_the_report_grid(tmp_path):
@@ -892,7 +899,7 @@ def test_compare_rg_scores_each_design_once(tmp_path, grid_calls, q, case):
         values = cfg.evaluator().phi_a_grid(d, grid.thetas, grid.ps)
         assert ([r["phi_a"] for r in rows if r["design"] == entry["design"]]
                 == [fmt_float(v) for v in values.ravel()])
-        assert entry["min_phi_a"]["value"] == min_phi_a(d, grid, *args).value
+        assert entry["min_phi_a"]["value"] == worst_case(values, grid).value
         assert entry["mean_phi_a"] == float(values.mean())
         if table_path:
             table = LocalOptTable.load(table_path, q_types=q, isi=cfg.isi)
@@ -913,7 +920,8 @@ def test_search_maximin_scores_each_reported_design_once(tmp_path, grid_calls):
     for row in rows:
         d = load_design(str(tmp_path / "out" / "designs" / f"seed_{row['seed']}.txt"),
                         q_types=2, isi=cfg.isi)
-        assert row["min_phi_a"]["value"] == min_phi_a(d, grid, *args).value
+        values = cfg.evaluator().phi_a_grid(d, grid.thetas, grid.ps)
+        assert row["min_phi_a"]["value"] == worst_case(values, grid).value
         assert row["min_rg"] == min_rg(d, grid.ps, *args, phi_step=cfg.phi_step)
 
 
@@ -1070,7 +1078,8 @@ def test_reported_minima_match_csv_and_library(tmp_path, q):
     args = (cfg.tr, cfg.noise(), cfg.drift())
     for path, name, entry in zip(paths, names, entries):
         d = load_design(path, q_types=q, isi=cfg.isi)
-        for key, column, lib in (("min_phi_a", "phi_a", min_phi_a(d, grid, *args)),
+        values = cfg.evaluator().phi_a_grid(d, grid.thetas, grid.ps)
+        for key, column, lib in (("min_phi_a", "phi_a", worst_case(values, grid)),
                                  ("min_re", "re", min_re(d, grid, table, *args))):
             value = entry[key]["value"]
             assert float(fmt_float(value)) == min(read_csv_column(csv_path, column, name))
@@ -1079,7 +1088,9 @@ def test_reported_minima_match_csv_and_library(tmp_path, q):
 
 def test_benchmark_trace_boundaries_exist():
     # perfbench/traced.py wraps these functions by name; a renamed one would
-    # leave its layer unmeasured with only a printed warning
+    # leave its layer unmeasured with only a printed warning.  The listed
+    # ones left the program: the searches report through `_score`, and run
+    # their seeds in order
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench")
     code = ("import json, sys\n"
@@ -1094,7 +1105,8 @@ def test_benchmark_trace_boundaries_exist():
     proc = subprocess.run([sys.executable, "-c", code, perfbench], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert json.loads(proc.stdout) == ["mmdesign.cli.min_phi_a", "mmdesign.cli.min_re",
+                                       "mmdesign.cli.parallel_map"]
 
 
 # -- two-run worked example (smoke scale) -------------------------------------------------

@@ -18,7 +18,6 @@ from mmdesign.criteria import (
     full_theta_grid,
     label_permutations,
     make_grid,
-    min_phi_a,
     min_re,
     min_rg,
     p_grid,
@@ -28,6 +27,7 @@ from mmdesign.criteria import (
     signed_image,
     theta0_grid,
     theta_to_angles,
+    worst_case,
     zero_theta,
 )
 from mmdesign.designs import Design, random_design, relabel
@@ -239,9 +239,9 @@ def small_grid(q):
 def test_min_phi_a_matches_direct_scan():
     d = random_design(2, 24, 4.0, seed=30)
     grid = small_grid(2)
-    res = min_phi_a(d, grid, tr=2.0, noise=NOISE, drift=DRIFT)
     ev = evaluator_for(d, 2.0, NOISE, DRIFT)
     vals = ev.phi_a_grid(d, grid.thetas, grid.ps)
+    res = worst_case(vals, grid)
     assert res.value == vals.min()
     assert res.value == pytest.approx(ev.phi_a(d, res.theta, res.p), rel=1e-12)
     flat = list(grid.points())
@@ -251,7 +251,8 @@ def test_min_phi_a_matches_direct_scan():
 def test_min_phi_a_tie_takes_first_grid_point():
     d = Design(labels=(0,) * 24, q_types=2, isi=4.0)
     grid = small_grid(2)
-    res = min_phi_a(d, grid, tr=2.0, noise=NOISE, drift=DRIFT)
+    res = worst_case(evaluator_for(d, 2.0, NOISE, DRIFT).phi_a_grid(d, grid.thetas, grid.ps),
+                     grid)
     assert res.value == 0.0 and res.index == 0
     assert res.theta == grid.thetas[0]
     assert (res.p.p1, res.p.p6) == (grid.ps[0].p1, grid.ps[0].p6)

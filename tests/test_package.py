@@ -3,7 +3,7 @@
 import mmdesign
 
 REMOVED = ("HrfVector", "peak_time", "DesignMatrix", "e_matrix", "l_matrix",
-           "two_run_phi_a", "sample_hrf", "hrf_partial")
+           "two_run_phi_a", "sample_hrf", "hrf_partial", "min_phi_a")
 
 
 def test_every_exported_name_resolves():
