@@ -168,16 +168,13 @@ class ExperimentConfig:
 
 
 def config_from_args(args) -> ExperimentConfig:
+    """The --config file's configuration (or the default), its fields given as flags replaced."""
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    fields = {}
-    if getattr(args, "seed", None):
-        fields["seeds"] = tuple(args.seed)
-    for name in ("space", "table", "out", "q", "length", "isi", "tr", "rho", "runs"):
-        v = getattr(args, name, None)
-        if v is not None:
-            fields["q_types" if name == "q" else name] = v
-    if fields:
-        cfg = replace(cfg, **fields)
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+              if getattr(args, f.name, None) is not None}
+    if "seeds" in fields:
+        fields["seeds"] = tuple(fields["seeds"])
+    cfg = replace(cfg, **fields)
     if getattr(args, "budget", None) is not None:
         cfg = replace(cfg, ga={**cfg.ga, "max_evaluations": args.budget})
     return cfg
@@ -297,18 +294,19 @@ def _load_table(path: str, cfg: ExperimentConfig) -> LocalOptTable:
         raise TableFormatError(f"table {path} is not valid JSON: {e}") from e
 
 
-def _score(cfg: ExperimentConfig, d: Design, grid: ParamGrid, denom=None, rg: bool = False
+def _score(cfg: ExperimentConfig, d: Design, grid: ParamGrid, denom=None, rg=None
            ) -> tuple[list[np.ndarray], dict]:
     """`d` on `grid` from one `phi_a_grid` pass: its CSV columns (values, then
     relative efficiencies against the table's denominators `denom`) and its
-    worst cases min_phi_a and min_re, then min_rg when `rg` is set."""
-    thetas = with_rg_directions(grid.thetas, d.q_types, grid.phi_step) if rg else grid.thetas
+    worst cases min_phi_a and min_re, then min_rg when given `rg`, the
+    `with_rg_directions` of `grid.thetas`, built once per command."""
+    thetas = grid.thetas if rg is None else rg
     values = cfg.evaluator(len(d)).phi_a_grid(d, thetas, grid.ps)
     columns = [values[:len(grid.thetas)]]
     columns += [] if denom is None else [columns[0] / denom]
     worst = {key: min_result_dict(worst_case(c, grid))
              for key, c in zip(("min_phi_a", "min_re"), columns)}
-    if rg:
+    if rg is not None:
         worst["min_rg"] = min_rg(d, grid.ps, cfg.tr, cfg.noise(), cfg.drift(),
                                  phi_step=grid.phi_step, scored=(thetas, values))
     return columns, worst
@@ -443,7 +441,8 @@ def cmd_search_maximin(args) -> int:
     run = _RunClock(args)
     objective = maximin_objective(cfg.evaluator(), cfg.make_grid("search"))
     grid = cfg.make_grid("comparison")
-    rg = cfg.q_types >= 2 and cfg.region == "theta0"  # R_g as in `compare --rg`
+    rg = (with_rg_directions(grid.thetas, cfg.q_types, grid.phi_step)  # as `compare --rg`
+          if cfg.q_types >= 2 and cfg.region == "theta0" else None)
     run.lap("setup")
     return _search_command(cfg, run, objective, "min_phi_a",
                            lambda d: _score(cfg, d, grid, rg=rg)[1], {})
@@ -513,12 +512,14 @@ def cmd_compare(args) -> int:
     grid = cfg.make_grid("comparison", include_zero=table is not None)
     denom = table.denominators(grid) if table is not None else None
     designs = [_load_design_checked(path, cfg) for path in args.designs]
+    rg = (with_rg_directions(grid.thetas, cfg.q_types, grid.phi_step)
+          if args.rg and cfg.q_types >= 2 else None)
     outdir = _ensure_out(cfg)
     run.lap("setup")
     blocks = []
     per_design = []
     for path, name, d in zip(args.designs, names, designs):
-        columns, worst = _score(cfg, d, grid, denom, rg=args.rg and cfg.q_types >= 2)
+        columns, worst = _score(cfg, d, grid, denom, rg)
         run.lap("scoring")
         blocks.append((name, columns))
         per_design.append({"design": name, "file": path, "min_phi_a": worst.pop("min_phi_a"),
@@ -632,12 +633,12 @@ def cmd_example_miezin(args) -> int:
 # ---------------------------------------------------------------------------
 
 _FLAGS = {
-    "seed": dict(type=int, action="append",
+    "seed": dict(type=int, action="append", dest="seeds", metavar="SEED",
                  help="random seed (repeatable; overrides config seeds)"),
     "space": dict(choices=["xi", "xi0"], help="design space override"),
     "table": dict(help="locally optimal design table (JSON)"),
     "threads": dict(type=int, default=1, help="ignored; must be at least 1 (default 1)"),
-    "q": dict(type=int, help="number of stimulus types"),
+    "q": dict(type=int, dest="q_types", metavar="Q", help="number of stimulus types"),
     "length": dict(type=int, help="number of stimulus slots"),
     "isi": dict(type=float, help="inter-stimulus interval, seconds"),
     "tr": dict(type=float, help="scan repetition time, seconds"),

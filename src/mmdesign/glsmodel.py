@@ -36,7 +36,7 @@ eigenvalues that find rank-one blocks.  A Q = 2 batch of M with t > 0 and
 det > 2 RCOND_SINGULAR t^2 is nonsingular and skips them too, with the same
 values.
 `hrf.hrf_bundle` builds a grid's HRF bundles in one vectorized pass and
-caches them by value; the evaluator keeps the last grid's transposed copy.
+caches them by value; the evaluator keeps the last grid (`Evaluator._grid`).
 
 One point (`phi_a`, `info_matrix`): X times the point's HRF bundle and theta
 first, which gives the Q+2 columns [E L] of each run; only those are
@@ -170,9 +170,9 @@ class Evaluator:
     of one run's whitened drift columns.  On a grid, each design yields one
     run's Gram matrix, from which information matrices at every (theta, p)
     follow by small quadratic forms summed over the runs; at one point, only
-    the point's Q+2 columns are residualized.  The stacked HRF bundles of the
-    last grid and the weights of the last point are kept, and `hrf_bundle`
-    caches grids by value.
+    the point's Q+2 columns are residualized.  It keeps two things, the last
+    grid (directions and stacked HRF bundles) and the last point's weights;
+    `hrf_bundle` caches grids by value.
     """
 
     def __init__(self, q_types: int, n_slots: int, isi: float, tr: float,
@@ -189,8 +189,7 @@ class Evaluator:
         s = drift_matrix(_scan_index(n_slots, isi, tr)[2], drift.order)
         # V S has full column rank (V is nonsingular), so QR gives its range
         self.drift_basis = np.linalg.qr(self._whiten(s))[0]
-        self._recent_stack = self._recent_thetas = (None, None)
-        self._recent_point: tuple = (None, None, None)
+        self._recent_grid = self._recent_point = (None, None, None)
 
     # -- drift removal -----------------------------------------------------
 
@@ -278,21 +277,14 @@ class Evaluator:
         hrf_length block per run offset."""
         return hrf_bundle((p.p1,), (p.p6,), self.delta, self.offsets, self.hrf_length)[0]
 
-    def _thetas(self, thetas) -> np.ndarray:
-        """The directions as a finite (n, Q) array; the last tuple of tuples'
-        array is kept read-only, found by identity, as one (thetas, array) pair."""
-        recent_thetas, recent = self._recent_thetas
-        if recent_thetas is thetas:
-            return recent
+    def _directions(self, thetas) -> np.ndarray:
+        """The directions as a finite (n, Q) array."""
         th = np.asarray(list(thetas), dtype=float)
         th = th.reshape(0, self.q_types) if th.size == 0 else th
         if th.ndim != 2 or th.shape[1] != self.q_types:
             raise ConfigurationError(f"thetas must be (n, {self.q_types}) (got {th.shape})")
         if not np.isfinite(th).all():
             raise ConfigurationError("thetas must be finite")
-        if isinstance(thetas, tuple) and all(isinstance(t, tuple) for t in thetas):
-            th.setflags(write=False)
-            self._recent_thetas = (thetas, th)
         return th
 
     # -- one-point route ----------------------------------------------------
@@ -318,7 +310,7 @@ class Evaluator:
         if recent_theta is theta and recent_p is p:
             return recent
         q, w = self.q_types, self.hrf_length
-        th = self._thetas([theta])[0]
+        th = self._directions([theta])[0]
         h = self.bundle(p).reshape(-1, w, 3).transpose(1, 0, 2)
         b = np.zeros((q, w, h.shape[1], q + 2))
         b[range(q), :, :, range(q)] = h[:, :, 0]
@@ -332,52 +324,51 @@ class Evaluator:
     def phi_a_grid(self, d: Design, thetas, ps) -> np.ndarray:
         """A-criterion values over a product grid: result[i, j] is the value
         at thetas[i], ps[j]."""
-        out, _ = self._phi_from_gram(self.gram(d), thetas, ps)
-        return out
+        blocks = self._phi_from_gram(self.gram(d), thetas, ps)
+        return blocks[0][0] if len(blocks) == 1 else np.concatenate([v for v, _ in blocks])
 
-    def _stacked_bundles(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        """Bundles of the p points in the tuple `ps`, built in one pass and cut
-        into n_s = n_p*runs (hrf_length, 3) slices W_s, point-major: one
-        transposed copy (n_s*3, hrf_length) stacking every W_s' for the
-        product with the Gram matrix, and the (n_s, hrf_length, 3) view of
-        `hrf_bundle`'s array for the batched product.  Only the last tuple's
-        are kept, found by identity, as one (ps, stacked) pair; other tuples
-        come from `hrf_bundle`'s cache."""
-        recent_ps, recent = self._recent_stack
-        if recent_ps is ps:
+    def _grid(self, thetas, ps) -> tuple:
+        """(blocks, w_t, w_all): the finite (n, Q) directions, one array per
+        `DirectionBlocks` block (else one); the p points' bundles from one
+        `hrf_bundle` pass as n_s = n_p*runs (hrf_length, 3) slices W_s,
+        point-major (w_all), and w_t (n_s*3, hrf_length) stacking every W_s'.
+        The last grid of a tuple of tuples and a tuple of points is kept
+        read-only, found by identity, as one (thetas, ps, grid) entry."""
+        recent_thetas, recent_ps, recent = self._recent_grid
+        if recent_thetas is thetas and recent_ps is ps:
             return recent
-        w = self.hrf_length
-        w_all = hrf_bundle(tuple(p.p1 for p in ps), tuple(p.p6 for p in ps),
+        th, w, pts = self._directions(thetas), self.hrf_length, tuple(ps)
+        w_all = hrf_bundle(tuple(p.p1 for p in pts), tuple(p.p6 for p in pts),
                            self.delta, self.offsets, w).reshape(-1, w, 3)
-        stacked = (np.ascontiguousarray(w_all.transpose(0, 2, 1)).reshape(-1, w), w_all)
-        self._recent_stack = (ps, stacked)
-        return stacked
+        w_t = np.ascontiguousarray(w_all.transpose(0, 2, 1)).reshape(-1, w)
+        for a in (th, w_t):
+            a.setflags(write=False)
+        grid = (tuple(np.split(th, np.cumsum(thetas.sizes[:-1])))
+                if isinstance(thetas, DirectionBlocks) else (th,), w_t, w_all)
+        if isinstance(ps, tuple) and isinstance(thetas, tuple) and all(
+                isinstance(t, tuple) for t in thetas):
+            self._recent_grid = (thetas, ps, grid)
+        return grid
 
-    def _phi_from_gram(self, y: np.ndarray, thetas, ps):
-        """(values, M): A-criterion values over the product grid, and the
-        information matrices as entries M[a][b], each an (n_thetas, n_ps) array;
-        for `DirectionBlocks`, M is None and only the blocks' values are joined."""
+    def _phi_from_gram(self, y: np.ndarray, thetas, ps) -> list:
+        """(values, M) of each direction block of `_grid`: A-criterion values
+        over the block's product grid, and its information matrices as
+        entries M[a][b], each an (n_block, n_ps) array."""
         q, w = self.q_types, self.hrf_length
-        ps = ps if isinstance(ps, tuple) else tuple(ps)
-        th = self._thetas(thetas)
-        n_p = len(ps)
-        w_t, w_all = self._stacked_bundles(ps)
+        blocks, w_t, w_all = self._grid(thetas, ps)
         # h[s, i, a, b, v] = sum_u W_s[u, i] Y[a, u, b, v]: one GEMM for all s
         y_t = y.reshape(q, w, q * w).transpose(1, 0, 2).reshape(w, q * q * w)
         h = (w_t @ y_t).reshape(-1, 3 * q * q, w)
-        g = np.matmul(h, w_all).reshape(n_p, len(self.offsets), 3, q, q, 3)
+        g = np.matmul(h, w_all).reshape(-1, len(self.offsets), 3, q, q, 3)
         # gp[i, j, b, a, p]: p's W_s[:, i]' Y[a, b] W_s[:, j] summed over its runs
-        gp = np.empty((3, 3, q, q, n_p))
+        gp = np.empty((3, 3, q, q, len(g)))
         np.sum(g.transpose(2, 5, 4, 3, 0, 1), axis=-1, out=gp)
-        if not isinstance(thetas, DirectionBlocks):
-            return _theta_stage(gp, th)
-        blocks = np.split(th, np.cumsum(thetas.sizes[:-1]))
-        return np.concatenate([_theta_stage(gp, b)[0] for b in blocks]), None
+        return [_theta_stage(gp, th) for th in blocks]
 
 
 def _theta_stage(gp: np.ndarray, th: np.ndarray):
     """(values, M) of `Evaluator._phi_from_gram` for the (n_t, Q) directions
-    `th` alone, from the p points' summed quadratic forms gp[i, j, b, a, p]."""
+    `th` of one block, from the p points' summed quadratic forms gp[i, j, b, a, p]."""
     q, n_p, n_t = gp.shape[2], gp.shape[-1], th.shape[0]
     # E'L columns el[j - 1, t, a, p] and L'L entries ll[i - 1, j - 1, t, p]
     el = np.matmul(th, gp[0, 1:].reshape(2, q, q * n_p)).reshape(2, n_t, q, n_p)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .criteria import LocalOptTable, ParamGrid
 from .designs import Design, block_design, cyclic_design, m_sequence_design
-from .errors import ConfigurationError, GenerationError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .glsmodel import Evaluator
 
 SPACE_FULL = "xi"
@@ -105,7 +105,7 @@ def decode_genome(genome: tuple[int, ...], config: GaConfig) -> Design:
 def _base_m_sequence(q_types: int, genome_length: int, isi: float) -> tuple[int, ...] | None:
     try:
         d = m_sequence_design(q_types, genome_length, isi)
-    except (ConfigurationError, GenerationError):
+    except ConfigurationError:
         return None
     return d.labels
 
@@ -242,7 +242,7 @@ def ga_search(objective, config: GaConfig,
 
 def _worst_case_fitness(ev: Evaluator, grid: ParamGrid, denom: np.ndarray | None = None):
     """A design's smallest value over the grid, divided pointwise by `denom`
-    when given; the grid's fixed tuples find their bundles by identity."""
+    when given; the grid's fixed tuples are the evaluator's kept grid."""
     thetas, ps = grid.thetas, grid.ps
 
     def fitness(d: Design) -> float:

@@ -21,7 +21,7 @@ import mmdesign
 from mmdesign import cli
 from mmdesign.cli import ExperimentConfig, grid_header, main, write_csv
 from mmdesign.criteria import (LocalOptTable, make_grid, min_re, min_rg, p_grid,
-                               theta_to_angles, worst_case)
+                               theta_to_angles, with_rg_directions, worst_case)
 from mmdesign.designs import load_design, random_design
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import DriftSpec, Evaluator, NoiseSpec
@@ -737,6 +737,27 @@ def test_search_maximin_rg_bound_covers_the_report_grid(tmp_path):
     args = (cfg.tr, cfg.noise(), cfg.drift())
     assert reported == min_rg(d, cfg.make_grid("comparison").ps, *args)
     assert reported != min_rg(d, p_grid(0.1), *args)
+
+
+def test_rg_directions_built_once_per_command(tmp_path, monkeypatch):
+    # `compare --rg` and a Q=2 `search-maximin` build the R_g direction set
+    # once and score every design on it, so each pass after the first hits
+    # the evaluator's kept grid
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:])
+        return with_rg_directions(*args)
+
+    monkeypatch.setattr(cli, "with_rg_directions", spy)
+    cfg = write_config(tmp_path, q_types=2, length=40, seeds=[0, 1])
+    paths = [write_design(tmp_path, random_design(2, 40, 4.0, seed=s).labels, f"d{s}.txt")
+             for s in range(3)]
+    assert main(["compare", *paths, "--config", cfg, "--rg"]) == 0
+    assert calls == [(2, 0.25 * math.pi)]
+    assert main(["search-maximin", "--config", cfg]) == 0
+    assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["per_seed"]) == 2
+    assert calls == [(2, 0.25 * math.pi)] * 2
 
 
 def test_search_maximin_budget_flag(tmp_path):

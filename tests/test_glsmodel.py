@@ -558,7 +558,7 @@ def test_phi_continuous_across_rank_one_cutoff(q, seed):
         big_l = np.column_stack([big_l1, l6 @ theta])
         lam = np.linalg.eigvalsh(big_l.T @ big_l)
         ratios.append(lam[0] / lam[1])
-        values, m = ev._phi_from_gram(u.T @ u, [tuple(theta)], (p,))
+        [(values, m)] = ev._phi_from_gram(u.T @ u, [tuple(theta)], (p,))
         got = values[0, 0]
         assert got == pytest.approx(want, rel=64 * math.sqrt(eps)), (s, ratios[-1])
         # the one-point route from the same columns: [E L] = U B, then their
@@ -591,7 +591,7 @@ def test_point_route_matches_grid_route(q, runs, seed, p1, p6, zero):
     ps = (HrfParams(p1, p6), HrfParams(6.0, 40.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid_values, m = ev._phi_from_gram(ev.gram(d), [theta], ps)  # phi_a_grid's and M
+        [(grid_values, m)] = ev._phi_from_gram(ev.gram(d), [theta], ps)  # phi_a_grid's and M
         values = [ev.phi_a(d, theta, p) for p in ps]
         infos = [ev.info_matrix(d, theta, p) for p in ps]
     assert values[1] == 0.0 == grid_values[0, 1]
@@ -622,33 +622,44 @@ def test_non_finite_theta_rejected(theta):
 
 
 def test_kept_directions_never_go_stale():
-    # the last tuple of tuples' array is kept by identity; anything that could
-    # have changed since, or was never validated, is read again
+    # the last grid of a tuple of tuples and a tuple of points is kept by
+    # identity; anything that could have changed since, or was never
+    # validated, is read again
     ev = make_eval(q=2, length=40)
     grid = ((0.6, 0.8), (1.0, 0.0))
-    first = ev._thetas(grid)
-    assert ev._thetas(grid) is first and not first.flags.writeable
-    assert np.array_equal(ev._thetas(tuple(map(tuple, first))), first)
+    ps = (HrfParams(6.0, 0.0), HrfParams(8.0, 1.5))
+    first = ev._grid(grid, ps)
+    assert ev._grid(grid, ps) is first
+    (th,), w_t, w_all = first
+    assert not any(a.flags.writeable for a in (th, w_t, w_all))
+    assert np.array_equal(ev._grid(tuple(map(tuple, th)), ps)[0][0], th)
     listed = [[0.6, 0.8], [1.0, 0.0]]
-    assert np.array_equal(ev._thetas(listed), first)
+    assert np.array_equal(ev._grid(listed, ps)[0][0], th)
     listed[0][0] = 0.3
-    assert ev._thetas(listed)[0, 0] == 0.3
+    assert ev._grid(listed, ps)[0][0][0, 0] == 0.3
     rows = ([0.6, 0.8], [1.0, 0.0])  # a tuple, but of mutable rows
-    ev._thetas(rows)
+    ev._grid(rows, ps)
     rows[0][0] = 0.3
-    assert ev._thetas(rows)[0, 0] == 0.3
+    assert ev._grid(rows, ps)[0][0][0, 0] == 0.3
+    points = list(ps)  # a list of points
+    ev._grid(grid, points)
+    points[0] = HrfParams(7.0, 0.5)
+    assert np.array_equal(ev._grid(grid, points)[2], ev._grid(grid, (points[0], ps[1]))[2])
+    assert not np.array_equal(ev._grid(grid, points)[2], w_all)
+    blocks = DirectionBlocks(grid, ((0.0, 1.0),))
+    split = ev._grid(blocks, ps)
+    assert ev._grid(blocks, ps) is split
+    assert [b.tolist() for b in split[0]] == [[[0.6, 0.8], [1.0, 0.0]], [[0.0, 1.0]]]
     bad = ((0.6, 0.8), (math.nan, 1.0))
     for _ in range(3):
         with pytest.raises(ConfigurationError, match="thetas must be finite"):
-            ev._thetas(bad)
-    # whole grids, each returned to after another
+            ev._grid(bad, ps)
+    # grids A, B, A, each as a fresh evaluator scores it
     d = random_design(2, 40, 4.0, seed=8)
-    ps = (HrfParams(6.0, 0.0), HrfParams(8.0, 1.5))
     grid_b = ((0.0, 1.0), (0.6, -0.8), (0.8, 0.6))
-    want = ev.phi_a_grid(d, grid, ps)
-    other = ev.phi_a_grid(d, grid_b, ps)
-    assert other.shape == (3, 2)
-    assert ev.phi_a_grid(d, grid, ps).tobytes() == want.tobytes()
+    for thetas in (grid, grid_b, grid):
+        want = make_eval(q=2, length=40).phi_a_grid(d, thetas, ps)
+        assert ev.phi_a_grid(d, thetas, ps).tobytes() == want.tobytes()
     # grids of other p points and single points in turn, each its fresh
     # evaluator's value whichever grid or point was kept before it
     ps_b = (HrfParams(7.0, 0.5),)
