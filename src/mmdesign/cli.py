@@ -223,14 +223,14 @@ def write_csv(path: str, header: list[str], grid: ParamGrid, blocks) -> None:
 class _RunClock:
     """Start time and clocks of one command, taken once its configuration is
     resolved and its `--threads`, where it takes one, checked; `lap` ends a
-    stage, and `finish` ends the last, "write", and writes clocks and stages
-    to run_meta.json."""
+    stage, and `finish` ends the last, "write", and writes clocks, stages
+    and the `searches` counts, when any, to run_meta.json."""
 
     def __init__(self, args) -> None:
         resolve_threads(getattr(args, "threads", 1))
         self.started = _now_iso()
         self.t0, self.c0 = time.perf_counter(), time.process_time()
-        self.last, self.stage_s = self.t0, {}
+        self.last, self.stage_s, self.searches = self.t0, {}, []
 
     def lap(self, stage: str) -> None:
         """Add the seconds since the previous lap (or the start) to `stage`."""
@@ -248,6 +248,7 @@ class _RunClock:
             "wall_time_s": wall_s,
             "cpu_time_s": cpu_s,
             "stage_s": self.stage_s,
+            **({"searches": self.searches} if self.searches else {}),
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             **(extra or {}),
@@ -389,8 +390,16 @@ def cmd_generate(args) -> int:
 
 def _search_and_report(cfg: ExperimentConfig, run: _RunClock, objective, report
                        ) -> tuple[list[SearchResult], list]:
-    """One search per seed, in seed order, then `report` of each best design."""
-    results = [ga_search(objective, cfg.ga_config(seed)) for seed in cfg.seeds]
+    """One search per seed, in seed order, each with its own
+    `objective.per_search`, then `report` of each best design.  Each search's
+    memo hits, screened designs and full grid scorings go to run_meta.json."""
+    results = []
+    for seed in cfg.seeds:
+        ga = cfg.ga_config(seed)
+        fitness = objective.per_search(ga.population_size)
+        results.append(ga_search(fitness, ga))
+        run.searches.append({"seed": seed, "rho": cfg.rho, "memo_hits": fitness.memo_hits,
+                             "screened": fitness.screened, "scored": fitness.scored})
     run.lap("search")
     reports = [report(r.best_design) for r in results]
     run.lap("report")

@@ -295,7 +295,13 @@ class Evaluator:
         self._check(d)
         b = self._point_weights(theta, p)
         c = self._residualize(sum(x @ bq for x, bq in zip(design_matrix(d, self.tr), b)))
-        g, n = c.T @ c, self.q_types + 2
+        return self._runs_info(c.T @ c)
+
+    def _runs_info(self, g: np.ndarray) -> np.ndarray:
+        """M from the Gram matrix g of every run's [E L] columns (B'YB for
+        weights B and a Gram matrix Y of `gram`): the runs' blocks summed,
+        then `_point_info`."""
+        n = self.q_types + 2
         return _point_info(g if len(g) == n else g[:n, :n] + g[n:, n:], self.q_types)
 
     def phi_a(self, d: Design, theta, p: HrfParams) -> float:

@@ -14,6 +14,8 @@ concatenating Q copies (genomes are then the short sequence).
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -22,7 +24,7 @@ import numpy as np
 from .criteria import LocalOptTable, ParamGrid
 from .designs import Design, block_design, cyclic_design, m_sequence_design
 from .errors import ConfigurationError, NumericalError
-from .glsmodel import Evaluator
+from .glsmodel import Evaluator, phi_from_info
 
 SPACE_FULL = "xi"
 SPACE_RESTRICTED = "xi0"
@@ -123,6 +125,13 @@ def ga_search(objective, config: GaConfig,
     from a neighboring grid point's winner when building tables); they must
     live in the configured search space.  A nonzero mutation rate is floored
     at one expected flip per child.
+
+    The objective is called once per evaluation.  After each generation the
+    population is the best `population_size` distinct genomes of everything
+    evaluated so far, so a design below that many distinct evaluated designs
+    never enters it, whatever value below them it is given; the search's
+    result then does not depend on that value (`ScreenedWorstCase` relies on
+    this).
     """
     rng = np.random.default_rng(config.seed)
     glen = config.genome_length
@@ -240,27 +249,111 @@ def ga_search(objective, config: GaConfig,
 # objectives
 # ---------------------------------------------------------------------------
 
-def _worst_case_fitness(ev: Evaluator, grid: ParamGrid, denom: np.ndarray | None = None):
+# A design whose value at one point, through the one-point Schur complement,
+# lies this far below the floor is below it on the grid too: the two routes
+# round differently and may take different L'L branches near the rank-one
+# cutoff, which costs about sqrt(eps) of relative accuracy there
+SCREEN_MARGIN = 64 * math.sqrt(np.finfo(float).eps)
+
+
+class WorstCase:
     """A design's smallest value over the grid, divided pointwise by `denom`
-    when given; the grid's fixed tuples are the evaluator's kept grid."""
-    thetas, ps = grid.thetas, grid.ps
+    when given; the grid's fixed tuples are the evaluator's kept grid.
 
-    def fitness(d: Design) -> float:
-        values = ev.phi_a_grid(d, thetas, ps)
-        return float((values if denom is None else values / denom).min())
+    Calling it scores the whole grid.  `per_search(population_size)` is the
+    objective of one `ga_search` run with that population size (see
+    `ScreenedWorstCase`)."""
 
-    return fitness
+    def __init__(self, ev: Evaluator, grid: ParamGrid, denom: np.ndarray | None = None):
+        self.ev, self.thetas, self.ps, self.denom = ev, grid.thetas, grid.ps, denom
+
+    def __call__(self, d: Design) -> float:
+        values = self.ev.phi_a_grid(d, self.thetas, self.ps)
+        return float((values if self.denom is None else values / self.denom).min())
+
+    def per_search(self, population_size: int) -> "ScreenedWorstCase":
+        return ScreenedWorstCase(self, population_size)
 
 
-def maximin_objective(ev: Evaluator, grid: ParamGrid):
+class ScreenedWorstCase:
+    """`WorstCase` for one `ga_search` run: exact for every design that can
+    enter the population, and no more than that.
+
+    It remembers the best `size` distinct designs it has scored in full, each
+    with its value and the grid point of its minimum; the floor is the worst
+    of them once there are `size`.  A remembered design gets its stored
+    value.  Any other design's Gram matrix Y is scored first at the
+    remembered minima's points, through the one-point Schur complement; a
+    value there below floor * (1 - SCREEN_MARGIN) is returned as it is,
+    since the design is then below `size` distinct members and `ga_search`
+    drops it.  Otherwise the grid stage scores Y in full.  `memo_hits`,
+    `screened` and `scored` count the three outcomes."""
+
+    def __init__(self, objective: WorstCase, size: int):
+        self.ev, self.thetas, self.ps, self.denom = (objective.ev, objective.thetas,
+                                                     objective.ps, objective.denom)
+        self.size = size
+        self.memo: dict[tuple[int, ...], tuple[float, int]] = {}  # labels -> (value, argmin)
+        self.heap: list[tuple[float, tuple[int, ...]]] = []  # the memo's (value, labels)
+        self.floor = 0.0  # screens only once positive
+        self.active: tuple[int, ...] = ()  # the memo's argmin points, flat grid indices
+        self.weights: dict[int, np.ndarray] = {}  # flat grid index -> B
+        self.memo_hits = self.screened = self.scored = 0
+
+    def __call__(self, d: Design) -> float:
+        kept = self.memo.get(d.labels)
+        if kept is not None:
+            self.memo_hits += 1
+            return kept[0]
+        y = self.ev.gram(d)
+        if self.floor > 0.0:
+            cut = self.floor * (1.0 - SCREEN_MARGIN)
+            for i in self.active:
+                value = self.point_value(y, i)
+                if value < cut:
+                    self.screened += 1
+                    return value
+        [(values, _)] = self.ev._phi_from_gram(y, self.thetas, self.ps)
+        if self.denom is not None:
+            values = values / self.denom
+        i = int(values.argmin())
+        value = float(values.flat[i])
+        self.scored += 1
+        self._remember(d.labels, value, i)
+        return value
+
+    def point_value(self, y: np.ndarray, i: int) -> float:
+        """The value at flat grid index i from a design's Gram matrix y."""
+        b = self.weights.get(i)
+        if b is None:
+            n_p = len(self.ps)
+            b = self.ev._point_weights(self.thetas[i // n_p], self.ps[i % n_p])
+            b = self.weights[i] = b.reshape(len(y), -1)
+        value = phi_from_info(self.ev._runs_info(b.T @ y @ b))
+        return value if self.denom is None else value / self.denom.flat[i]
+
+    def _remember(self, labels: tuple[int, ...], value: float, i: int) -> None:
+        if len(self.memo) == self.size:
+            if not value > self.floor:
+                return
+            del self.memo[heapq.heapreplace(self.heap, (value, labels))[1]]
+        else:
+            heapq.heappush(self.heap, (value, labels))
+        self.memo[labels] = (value, i)
+        if len(self.memo) == self.size:
+            self.floor = self.heap[0][0]
+            self.active = tuple(dict.fromkeys(j for _, j in self.memo.values()))
+
+
+def maximin_objective(ev: Evaluator, grid: ParamGrid) -> WorstCase:
     """Worst-case A-criterion value over the grid, as a fitness function."""
-    return _worst_case_fitness(ev, grid)
+    return WorstCase(ev, grid)
 
 
-def mme_objective(ev: Evaluator, grid: ParamGrid, table: LocalOptTable):
+def mme_objective(ev: Evaluator, grid: ParamGrid, table: LocalOptTable) -> WorstCase:
     """Worst-case relative efficiency over the grid (which should include the
     zero direction), as a fitness function."""
-    return _worst_case_fitness(ev, grid, table.denominators(grid))
+    return WorstCase(ev, grid, table.denominators(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -930,14 +930,16 @@ def test_compare_rg_scores_each_design_once(tmp_path, grid_calls, q, case):
 
 
 def test_search_maximin_scores_each_reported_design_once(tmp_path, grid_calls):
-    # beside one call per fitness evaluation, one grid pass per seed gives
-    # the report's min_phi_a and min_rg
+    # the fitness runs the grid stage on each design's Gram matrix itself,
+    # so `phi_a_grid` sees only the reports: one pass per seed gives its
+    # min_phi_a and min_rg, over the comparison grid's R_g directions
     cfg_path = write_config(tmp_path, q_types=2, length=12, seeds=[0, 1])
     assert main(["search-maximin", "--config", cfg_path]) == 0
     cfg = ExperimentConfig.load(cfg_path)
     rows = json.loads((tmp_path / "out" / "summary.json").read_text())["per_seed"]
-    assert len(grid_calls) == sum(row["evaluations"] for row in rows) + len(rows)
     grid, args = cfg.make_grid("comparison"), (cfg.tr, cfg.noise(), cfg.drift())
+    assert len(grid_calls) == len(rows)
+    assert all(n > len(grid.thetas) for n in grid_calls)
     for row in rows:
         d = load_design(str(tmp_path / "out" / "designs" / f"seed_{row['seed']}.txt"),
                         q_types=2, isi=cfg.isi)
@@ -983,6 +985,20 @@ def test_run_meta_stage_seconds(tmp_path, command, stages):
     assert set(meta["stage_s"]) == stages
     assert min(meta["stage_s"].values()) >= 0
     assert sum(meta["stage_s"].values()) <= meta["wall_time_s"]
+
+
+@pytest.mark.parametrize("command", ["search-maximin", "search-mme"])
+def test_run_meta_counts_each_search(tmp_path, command):
+    # per seed: memo hits, designs screened out and full grid scorings, one
+    # of the three for each of the budget's evaluations
+    cfg = write_config(tmp_path, seeds=[3, 1])
+    extra = ["--table", make_tiny_table(tmp_path, cfg)] if command == "search-mme" else []
+    assert main([command, *extra, "--config", cfg]) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert [(s["seed"], s["rho"]) for s in meta["searches"]] == [(3, 0.3), (1, 0.3)]
+    for s in meta["searches"]:
+        assert s["memo_hits"] + s["screened"] + s["scored"] == 40
+        assert s["scored"] >= 10  # the initial population is scored in full
 
 
 def test_compare_quotes_odd_design_name(tmp_path):
@@ -1148,3 +1164,7 @@ def test_example_miezin_smoke(tmp_path, capsys):
     lines = (tmp_path / "out" / "distributions.csv").read_text().splitlines()
     assert lines[0] == "design,p1,p6,theta_1,phi_a"
     assert (tmp_path / "out" / "designs" / "maximin.txt").exists()
+    # the design's search, then the two rho-matched ones
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert [(s["seed"], s["rho"]) for s in meta["searches"]] == [(0, 0.3), (0, 0.0), (0, 0.5)]
+    assert all(s["memo_hits"] + s["screened"] + s["scored"] == 40 for s in meta["searches"])

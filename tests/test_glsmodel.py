@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmdesign.criteria import (LocalOptTable, apply_perm, label_permutations, make_grid,
-                               perm_matrix, relative_efficiency, with_rg_directions)
+from mmdesign.criteria import (LocalOptTable, ParamGrid, apply_perm, label_permutations,
+                               make_grid, perm_matrix, relative_efficiency, with_rg_directions)
 from mmdesign.designs import Design, delta_t, random_design, relabel
 from mmdesign.errors import ConfigurationError
 from mmdesign.glsmodel import (
@@ -32,6 +32,7 @@ from mmdesign.glsmodel import (
     whitening_matrix,
 )
 from mmdesign.hrf import HrfParams
+from mmdesign.search import SCREEN_MARGIN, WorstCase
 
 from hrf_curves import g_normalized
 from reference import (
@@ -550,6 +551,7 @@ def test_phi_continuous_across_rank_one_cutoff(q, seed):
     # eigenvalue ratio of L'L is about s^2 / (|L1|^2 (1 + alpha^2)^2)
     s0 = math.sqrt(LL_RANK_ONE_RATIO) * (big_l1 @ big_l1) ** 0.5 * (1.0 + alpha ** 2)
     eps = np.finfo(float).eps
+    screen = WorstCase(ev, ParamGrid(thetas=(tuple(theta),), ps=(p,))).per_search(1)
     ratios = []
     for s in s0 * np.geomspace(30.0, 1.0 / 30.0, 13):
         l6 = alpha * l1 + s * np.outer(r, c)
@@ -561,6 +563,9 @@ def test_phi_continuous_across_rank_one_cutoff(q, seed):
         [(values, m)] = ev._phi_from_gram(u.T @ u, [tuple(theta)], (p,))
         got = values[0, 0]
         assert got == pytest.approx(want, rel=64 * math.sqrt(eps)), (s, ratios[-1])
+        # the search screen's value there, from the same Y, may take the other
+        # branch at the cutoff: its margin covers the two routes' difference
+        assert screen.point_value(u.T @ u, 0) == pytest.approx(got, rel=SCREEN_MARGIN)
         # the one-point route from the same columns: [E L] = U B, then their
         # (Q+2)^2 Gram.  Off the cutoff both routes take the same branch.
         # Their M agree to a few eps relative to E'E (worst 8e-13 over 3,000

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mmdesign.errors import ConfigurationError, NumericalError, TableLookupError
 from mmdesign.glsmodel import DriftSpec, Evaluator, NoiseSpec
 from mmdesign.hrf import HrfParams
 from mmdesign.search import (
+    SCREEN_MARGIN,
     GaConfig,
     build_local_opt_table,
     decode_genome,
@@ -213,6 +215,107 @@ def test_mme_objective_rejects_incomplete_table():
     ev = tiny_eval()
     with pytest.raises(TableLookupError):
         mme_objective(ev, TINY_GRID, LocalOptTable(q_types=1, isi=4.0))
+
+
+# -- the per-search objective: member memo and active-set screen ---------------------
+
+def screen_case(q, length, space, criterion, runs=1, budget=300, seed=3):
+    """A worst-case objective on a coarse search grid (plus the zero
+    direction for mme, against a table of one design's values) and its GA."""
+    ev = Evaluator(q_types=q, n_slots=length, isi=4.0, tr=2.0,
+                   noise=NoiseSpec(rho=0.3, runs=runs), drift=DriftSpec(order=2))
+    grid = make_grid(q, "search", p_step=3.0, phi_step=1.0)
+    if criterion == "maximin":
+        objective = maximin_objective(ev, grid)
+    else:
+        grid = grid.with_zero()
+        table = LocalOptTable(q_types=q, isi=4.0)
+        ref = random_design(q, length, 4.0, seed=99)
+        for th, p in grid.points():
+            table.put(th, p, max(ev.phi_a(ref, th, p), 1e-9), ref)
+        objective = mme_objective(ev, grid, table)
+    return objective, GaConfig(q_types=q, length=length, isi=4.0, space=space,
+                               max_evaluations=budget, seed=seed)
+
+
+SCREEN_CASES = [
+    (1, 40, "xi", "maximin", 1, 300),
+    (2, 40, "xi", "maximin", 1, 300),
+    (2, 40, "xi0", "maximin", 1, 300),
+    (3, 30, "xi", "maximin", 1, 200),
+    (1, 40, "xi", "mme", 1, 300),
+    (2, 40, "xi0", "mme", 1, 300),
+    (3, 30, "xi0", "mme", 1, 200),
+    (1, 40, "xi", "maximin", 2, 300),  # two runs
+    (2, 40, "xi", "mme", 2, 300),
+    (1, 40, "xi", "maximin", 1, 95),  # cut to 12 of a generation's 21 candidates
+    (2, 8, "xi0", "maximin", 1, 150),  # 4-slot genomes: children repeat members
+]
+
+
+@pytest.mark.parametrize("q, length, space, criterion, runs, budget", SCREEN_CASES)
+def test_per_search_objective_is_exact(q, length, space, criterion, runs, budget):
+    objective, cfg = screen_case(q, length, space, criterion, runs, budget)
+    want = ga_search(objective, cfg)
+    calls = []
+    fitness = objective.per_search(cfg.population_size)
+    got = ga_search(lambda d: calls.append(d) or fitness(d), cfg)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.best_design == want.best_design
+    # one call per evaluation, and each call has exactly one outcome
+    assert len(calls) == got.n_evaluations == budget
+    assert fitness.memo_hits + fitness.screened + fitness.scored == budget
+    assert fitness.memo_hits > 0 and fitness.screened > 0
+    assert len(fitness.memo) == cfg.population_size
+
+
+def test_second_search_with_fresh_objective_matches_it_alone():
+    objective, cfg = screen_case(1, 40, "xi", "maximin")
+    other = replace(cfg, seed=4)
+    alone = ga_search(objective.per_search(other.population_size), other)
+    ga_search(objective.per_search(cfg.population_size), cfg)
+    after = ga_search(objective.per_search(other.population_size), other)
+    assert after.to_json_dict() == alone.to_json_dict()
+    assert after.best_design == alone.best_design
+
+
+@pytest.mark.parametrize("q, runs, criterion", [(1, 1, "maximin"), (2, 2, "mme"),
+                                                (3, 1, "maximin")])
+def test_point_value_matches_grid_stage(q, runs, criterion):
+    # the screen's one-point Schur complement against the grid stage's value
+    # at every point, the zero direction included for mme
+    objective, _ = screen_case(q, 40, "xi", criterion, runs)
+    fitness = objective.per_search(2)
+    ev = objective.ev
+    for seed in range(5):
+        d = random_design(q, 40, 4.0, seed=seed)
+        values = ev.phi_a_grid(d, objective.thetas, objective.ps)
+        if objective.denom is not None:
+            values = values / objective.denom
+        y = ev.gram(d)
+        partial = np.array([fitness.point_value(y, i) for i in range(values.size)])
+        np.testing.assert_allclose(partial, values.ravel(), rtol=SCREEN_MARGIN, atol=0.0)
+
+
+@pytest.mark.parametrize("below, screened", [(0.5, False), (2.0, True)])
+def test_screen_scores_in_full_inside_the_margin(monkeypatch, below, screened):
+    # a partial minimum `below` margins under the floor: inside the margin the
+    # design is scored on the whole grid, past it the partial value stands
+    objective, cfg = screen_case(1, 40, "xi", "maximin")
+    fitness = objective.per_search(cfg.population_size)
+    ga_search(fitness, cfg)
+    d = random_design(1, 40, 4.0, seed=1234)
+    assert d.labels not in fitness.memo and fitness.floor > 0
+    partial = fitness.floor * (1.0 - below * SCREEN_MARGIN)
+    monkeypatch.setattr(fitness, "point_value", lambda y, i: partial)
+    counts = (fitness.screened, fitness.scored)
+    value = fitness(d)
+    if screened:
+        assert value == partial
+        assert (fitness.screened, fitness.scored) == (counts[0] + 1, counts[1])
+    else:
+        assert value == objective(d)
+        assert (fitness.screened, fitness.scored) == (counts[0], counts[1] + 1)
 
 
 # -- table construction -------------------------------------------------------------
